@@ -25,6 +25,12 @@ First derivatives pull back through E^T; second derivatives need the node
 -diagonal forms E^T diag(d) E and E^T diag(d) conj(E), which on a uniform
 grid are a Hankel and a Toeplitz matrix read off the FFT of d.  Each
 Hessian therefore costs O(n (M log M + K^2)) instead of O(n K^2 M).
+
+The gradient formula is written once and runs on one of two transforms,
+each built once per (K, precise) and cached: double-precision FFTs, or a
+long-double dense E for the Newton endgame and the final verification,
+whose rounding floor lies far below the FFT gradient's (about 1e-12
+relative at converged solutions) wherever long double is wider than double.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ DISK_MARGIN = 1e-12
 # Pair separations at or below this threshold count as collisions.
 COLLISION_THRESHOLD = 1e-13
 
-# pi to extended (80-bit) precision, for the slow exact-basis transforms.
+# pi to extended (80-bit) precision, for the long-double dense transform.
 _PI_EXTENDED = np.longdouble("3.14159265358979323846264338327950288")
 
 
@@ -120,16 +126,20 @@ def quadrature_size(K: int) -> int:
 
 
 class _Spectral:
-    """FFT helpers for one (bandwidth, grid) pair.
+    """Double-precision FFT transforms for one (bandwidth, grid) pair.
 
     values:  node values of sum_k c_k exp(i k t_m)
     adjoint: (E^T g)_k      = sum_m g_m exp(+i k t_m)
     hank:    (E^T D E)_kl   = sum_m d_m exp(+i (k+l) t_m)
     toep:    (E^T D Ebar)_kl = sum_m d_m exp(+i (k-l) t_m)
+    shift_phases: exp(2 pi i j k / n), j = 1..n-1, the factors that turn
+        the coefficients of q(t) into those of q(t + 2 pi j / n)
     """
 
+    real = np.float64
+    pi = np.pi
+
     def __init__(self, K: int, M: int):
-        self.K = K
         self.M = M
         self.k = np.arange(-K, K + 1)
         self._kmod = self.k % M
@@ -153,6 +163,40 @@ class _Spectral:
     def toep(self, d: np.ndarray) -> np.ndarray:
         return self._transform(d)[self._tidx]
 
+    def shift_phases(self, n: int) -> list[np.ndarray]:
+        return [np.exp(2j * np.pi * j * self.k / n) for j in range(1, n)]
+
+
+class _DenseSpectral:
+    """Long-double values, adjoint and shift_phases by O(M N) products with
+    the dense basis E = exp(i k t_m); first derivatives only.
+    """
+
+    real = np.longdouble
+    pi = _PI_EXTENDED
+
+    def __init__(self, K: int, M: int):
+        self.M = M
+        self.k = np.arange(-K, K + 1).astype(np.longdouble)
+        t = 2.0 * _PI_EXTENDED * np.arange(M).astype(np.longdouble) / M
+        self.E = np.exp(1j * np.outer(t, self.k).astype(np.clongdouble))
+
+    def values(self, c: np.ndarray) -> np.ndarray:
+        return self.E @ c
+
+    def adjoint(self, d: np.ndarray) -> np.ndarray:
+        return self.E.T @ d
+
+    def shift_phases(self, n: int) -> list[np.ndarray]:
+        return [np.exp(2j * (_PI_EXTENDED * j / n * self.k).astype(np.clongdouble)) for j in range(1, n)]
+
+
+@functools.lru_cache(maxsize=32)
+def _transform(K: int, precise: bool) -> _Spectral | _DenseSpectral:
+    """The transform for bandwidth K on its quadrature grid, built once."""
+    M = quadrature_size(K)
+    return _DenseSpectral(K, M) if precise else _Spectral(K, M)
+
 
 def _coefficients(x, config: Configuration) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -162,120 +206,67 @@ def _coefficients(x, config: Configuration) -> np.ndarray:
     return x[:half] + 1j * x[half:]
 
 
-@functools.lru_cache(maxsize=8)
-def _extended_basis(K: int, M: int) -> np.ndarray:
-    """Evaluation basis exp(i k t_m) as an extended-precision M x N matrix."""
-    k = np.arange(-K, K + 1).astype(np.longdouble)
-    t = 2.0 * _PI_EXTENDED * np.arange(M).astype(np.longdouble) / M
-    return np.exp(1j * np.outer(t, k).astype(np.clongdouble))
-
-
-def _gradient_extended(c: np.ndarray, config: Configuration) -> np.ndarray:
-    """Gradient assembled in extended precision by direct transforms.
-
-    Evaluates the same formulas as the fast path, but with long-double
-    scalars and O(M N) matrix transforms instead of FFTs.  The rounding
-    floor of the fast gradient, roughly 1e-12 relative at converged
-    solutions (node-level noise amplified by the derivative factor k),
-    drops well below 1e-13, which the Newton endgame and the final
-    verification need.  On platforms whose long double is plain double
-    this degrades gracefully to the fast path's accuracy.
-    """
-    K = (c.size - 1) // 2
-    M = quadrature_size(K)
-    E = _extended_basis(K, M)
-    k = np.arange(-K, K + 1).astype(np.longdouble)
-    cl = c.astype(np.clongdouble)
-    q = E @ cl
-    dw = 1j * (k + np.longdouble(config.omega))
-    u = E @ (dw * cl)
-    w_kin = np.longdouble(0.5) * config.n * (2.0 * _PI_EXTENDED / M)
-
-    planar = config.is_planar
-    if planar:
-        lam = np.ones(M, dtype=np.longdouble)
-        w_pot = w_kin
-    else:
-        R2 = np.longdouble(config.R) ** 2
-        s0 = R2 - np.abs(q) ** 2
-        lam = 4.0 * R2 * R2 / (s0 * s0)
-        w_pot = w_kin / np.longdouble(config.R)
-
-    g_u = lam * np.conj(u)
-    v = (E.T @ (w_kin * g_u)) * dw
-    if not planar:
-        uu = np.abs(u) ** 2
-        g_q = 8.0 * R2 * R2 * uu * np.conj(q) / s0 ** 3
-        v = v + E.T @ (w_kin * g_q)
-
-    for j in range(1, config.n):
-        sig = np.exp(2j * (_PI_EXTENDED * j / config.n * k).astype(np.clongdouble))
-        qj = E @ (sig * cl)
-        w = q - qj
-        if planar:
-            P = np.abs(w) ** 2
-            Fp = -0.5 * P ** -1.5
-            a0 = 1.0 / w
-            a1 = -a0
-        else:
-            sj = R2 - np.abs(qj) ** 2
-            P = 4.0 * R2 * R2 * np.abs(w) ** 2 / (s0 * sj)
-            G = P * (P + 4.0 * R2)
-            Fp = -4.0 * R2 * R2 * G ** -1.5
-            a0 = 1.0 / w + np.conj(q) / s0
-            a1 = -1.0 / w + np.conj(qj) / sj
-        v = v + E.T @ (w_pot * Fp * (P * a0))
-        v = v + sig * (E.T @ (w_pot * Fp * (P * a1)))
-
-    return np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float)
-
-
-def _shift_phases(config: Configuration, k: np.ndarray, j: int) -> np.ndarray:
-    return np.exp(2j * np.pi * j * k / config.n)
+def _separations_squared(q: np.ndarray, shifted: list[np.ndarray], R2=None) -> list[np.ndarray]:
+    """Squared chordal separations 4R^4 |q - q_j|^2 / (s0 s_j) from each
+    shifted copy, s = R^2 - |.|^2; squared Euclidean ones when R2 is None."""
+    if R2 is None:
+        return [np.abs(q - qj) ** 2 for qj in shifted]
+    s0 = R2 - np.abs(q) ** 2
+    return [4.0 * R2 * R2 * np.abs(q - qj) ** 2 / (s0 * (R2 - np.abs(qj) ** 2)) for qj in shifted]
 
 
 class _NodeState:
-    """Node values of the path, its shifted copies, and the rotating velocity."""
+    """Node values of the path, its shifted copies, and the rotating velocity,
+    in the precision of the transform (long double when precise)."""
 
-    def __init__(self, c: np.ndarray, config: Configuration):
+    def __init__(self, c: np.ndarray, config: Configuration, precise: bool = False):
         K = (c.size - 1) // 2
-        M = quadrature_size(K)
-        self.sp = _Spectral(K, M)
+        self.sp = sp = _transform(K, precise)
         self.config = config
-        self.q = self.sp.values(c)
-        self.dw = 1j * (self.sp.k + config.omega)
-        self.u = self.sp.values(self.dw * c)
-        self.sigmas = [_shift_phases(config, self.sp.k, j) for j in range(1, config.n)]
-        self.qj = [self.sp.values(sig * c) for sig in self.sigmas]
+        self.q = sp.values(c)
+        self.dw = 1j * (sp.k + config.omega)
+        self.u = sp.values(self.dw * c)
+        self.sigmas = sp.shift_phases(config.n)
+        self.qj = [sp.values(sig * c) for sig in self.sigmas]
+        self.uu = np.abs(self.u) ** 2
+        # Trapezoid weights of the kinetic and the pair integrals.
+        self.w_kin = 0.5 * config.n * (2.0 * sp.pi / sp.M)
+        if config.is_planar:
+            self.R2 = None
+            self.w_pot = self.w_kin
+        else:
+            R = sp.real(config.R)
+            self.R2 = R * R
+            self.s0 = self.R2 - np.abs(self.q) ** 2
+            self.w_pot = self.w_kin / R
+
+    @functools.cached_property
+    def lam(self) -> np.ndarray:
+        """Conformal factor 4R^4/s0^2 at the nodes (ones when planar)."""
+        if self.R2 is None:
+            return np.ones(self.sp.M, dtype=self.sp.real)
+        return 4.0 * self.R2 * self.R2 / (self.s0 * self.s0)
 
     def out_of_disk(self) -> bool:
         if self.config.is_planar:
             return False
         return bool(np.max(np.abs(self.q)) >= self.config.R * (1.0 - DISK_MARGIN))
 
-    def separations_squared(self) -> list[np.ndarray]:
+    @functools.cached_property
+    def seps_sq(self) -> list[np.ndarray]:
         """Squared chordal (hyperbolic) or Euclidean (planar) separations."""
-        cfg = self.config
-        out = []
-        if cfg.is_planar:
-            for qj in self.qj:
-                w = self.q - qj
-                out.append(np.abs(w) ** 2)
-        else:
-            R2 = cfg.R * cfg.R
-            s0 = R2 - np.abs(self.q) ** 2
-            for qj in self.qj:
-                w = self.q - qj
-                sj = R2 - np.abs(qj) ** 2
-                out.append(4.0 * R2 * R2 * np.abs(w) ** 2 / (s0 * sj))
-        return out
+        return _separations_squared(self.q, self.qj, self.R2)
 
-    def collided(self, seps_sq: list[np.ndarray]) -> bool:
-        threshold = COLLISION_THRESHOLD ** 2
-        return any(bool(np.min(p) <= threshold) for p in seps_sq)
+    def collided(self) -> bool:
+        return any(bool(np.min(p) <= COLLISION_THRESHOLD ** 2) for p in self.seps_sq)
+
+    @functools.cached_property
+    def kernels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(F, F', F'') of each pair; only defined once no pair has collided."""
+        return [_pair_kernel(P, self.R2, self.config.is_planar) for P in self.seps_sq]
 
 
-def _pair_kernel(P: np.ndarray, R: float, planar: bool):
+def _pair_kernel(P: np.ndarray, R2, planar: bool):
     """Pair integrand F and derivatives as functions of the squared separation.
 
     Hyperbolic: F(P) = (2R^2 + P)/sqrt(P (4R^2 + P)); its derivative
@@ -286,7 +277,6 @@ def _pair_kernel(P: np.ndarray, R: float, planar: bool):
         Fp = -0.5 * P ** -1.5
         Fpp = 0.75 * P ** -2.5
     else:
-        R2 = R * R
         G = P * (P + 4.0 * R2)
         F = (2.0 * R2 + P) / np.sqrt(G)
         Fp = -4.0 * R2 * R2 * G ** -1.5
@@ -294,70 +284,24 @@ def _pair_kernel(P: np.ndarray, R: float, planar: bool):
     return F, Fp, Fpp
 
 
-def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) -> ActionEvaluation:
-    """Action value and, for order >= 1/2, its exact gradient/Hessian.
-
-    order = 0 computes the value alone, 1 adds the gradient, 2 the Hessian.
-    Infeasible points (node outside the disk margin, or a pair separation
-    at the collision threshold) yield value = +inf and NaN derivatives.
-    precise = True re-assembles the gradient with extended-precision
-    transforms (slower; the Hessian and value stay in double precision).
+def _first_order(state: _NodeState) -> tuple[np.ndarray, list[tuple]]:
+    """Packed gradient, pulled back through the state's transform, and the
+    per-pair first-order terms (w, a0, a1, P a0, P a1) the Hessian reuses.
     """
-    c = _coefficients(x, config)
-    state = _NodeState(c, config)
-    sp = state.sp
-    M = sp.M
-    nc = c.size
-    cfg = config
-    planar = cfg.is_planar
-
-    def infeasible() -> ActionEvaluation:
-        grad = np.full(2 * nc, np.nan) if order >= 1 else None
-        hess = np.full((2 * nc, 2 * nc), np.nan) if order >= 2 else None
-        return ActionEvaluation(math.inf, grad, hess)
-
-    if state.out_of_disk():
-        return infeasible()
-    seps_sq = state.separations_squared()
-    if state.collided(seps_sq):
-        return infeasible()
-
-    w_kin = 0.5 * cfg.n * (2.0 * np.pi / M)
-    w_pot = w_kin if planar else w_kin / cfg.R
-
-    q, u = state.q, state.u
-    uu = np.abs(u) ** 2
-    if planar:
-        lam = np.ones(M)
-    else:
-        R2 = cfg.R * cfg.R
-        s0 = R2 - np.abs(q) ** 2
-        lam = 4.0 * R2 * R2 / (s0 * s0)
-
-    value = w_kin * float(np.sum(lam * uu))
-    pair_data = []
-    for j, P in enumerate(seps_sq):
-        F, Fp, Fpp = _pair_kernel(P, cfg.R, planar)
-        value += w_pot * float(np.sum(F))
-        pair_data.append((P, Fp, Fpp))
-
-    if order < 1:
-        return ActionEvaluation(value)
+    sp, planar = state.sp, state.config.is_planar
+    q, u, w_kin, w_pot = state.q, state.u, state.w_kin, state.w_pot
 
     # Wirtinger derivatives of the kinetic integrand lam(q) |u|^2.
+    v = sp.adjoint(w_kin * (state.lam * np.conj(u))) * state.dw
     if not planar:
-        g_q = 8.0 * R2 * R2 * uu * np.conj(q) / s0 ** 3
-    g_u = lam * np.conj(u)
-
-    v = sp.adjoint(w_kin * g_u) * state.dw
-    if not planar:
+        R2, s0 = state.R2, state.s0
+        g_q = 8.0 * R2 * R2 * state.uu * np.conj(q) / s0 ** 3
         v = v + sp.adjoint(w_kin * g_q)
 
     # Pair terms: P is a rational function of z0 = q(t) and z1 = q_j(t);
     # alpha_a = d log P / d z_a.
     pair_first = []
-    for j, (P, Fp, Fpp) in enumerate(pair_data):
-        qj = state.qj[j]
+    for P, (_, Fp, _), qj, sig in zip(state.seps_sq, state.kernels, state.qj, state.sigmas):
         w = q - qj
         if planar:
             a0 = 1.0 / w
@@ -369,17 +313,55 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
         Pa = P * a0
         Pb = P * a1
         v = v + sp.adjoint(w_pot * Fp * Pa)
-        v = v + state.sigmas[j] * sp.adjoint(w_pot * Fp * Pb)
+        v = v + sig * sp.adjoint(w_pot * Fp * Pb)
         pair_first.append((w, a0, a1, Pa, Pb))
+    return np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float, copy=False), pair_first
 
-    gradient = _gradient_extended(c, cfg) if precise else np.concatenate([2.0 * v.real, -2.0 * v.imag])
+
+def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) -> ActionEvaluation:
+    """Action value and, for order >= 1/2, its exact gradient/Hessian.
+
+    order = 0 computes the value alone, 1 adds the gradient, 2 the Hessian.
+    Infeasible points (node outside the disk margin, or a pair separation
+    at the collision threshold) yield value = +inf and NaN derivatives.
+    The value, the Hessian and by default the gradient are computed with
+    the double-precision FFT transform.  precise = True runs the same
+    gradient formula on the long-double dense transform instead (slower,
+    with a rounding floor far below the FFT gradient's).  Each transform
+    is built once per (K, precise) and cached.
+    """
+    c = _coefficients(x, config)
+    state = _NodeState(c, config)
+    sp = state.sp
+    nc = c.size
+    planar = config.is_planar
+
+    if state.out_of_disk() or state.collided():
+        grad = np.full(2 * nc, np.nan) if order >= 1 else None
+        hess = np.full((2 * nc, 2 * nc), np.nan) if order >= 2 else None
+        return ActionEvaluation(math.inf, grad, hess)
+
+    w_kin, w_pot = state.w_kin, state.w_pot
+    value = w_kin * float(np.sum(state.lam * state.uu))
+    for F, _, _ in state.kernels:
+        value += w_pot * float(np.sum(F))
+
+    if order < 1:
+        return ActionEvaluation(value)
+    if precise:
+        gradient = _first_order(_NodeState(c, config, precise=True))[0]
+        if order < 2:
+            return ActionEvaluation(value, gradient)
+    fast_gradient, pair_first = _first_order(state)
+    if not precise:
+        gradient = fast_gradient
     if order < 2:
         return ActionEvaluation(value, gradient)
 
     # Holomorphic-holomorphic block T and Hermitian block Wm; the real
     # Hessian of sum f(y, ybar) with y = E c is assembled from
     #   dx' H dx = 2 Re(dc' T dc) + 2 dc' Wm conj(dc).
-    dw = state.dw
+    q, u, uu, lam, dw = state.q, state.u, state.uu, state.lam, state.dw
     dwc = np.conj(dw)
     T = np.zeros((nc, nc), dtype=complex)
     Wm = np.zeros((nc, nc), dtype=complex)
@@ -387,6 +369,7 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     # Kinetic second derivatives.
     Wm += dw[:, None] * sp.toep(w_kin * lam) * dwc[None, :]
     if not planar:
+        R2, s0 = state.R2, state.s0
         f_qq = 24.0 * R2 * R2 * uu * np.conj(q) ** 2 / s0 ** 4
         f_qu = 8.0 * R2 * R2 * np.conj(u) * np.conj(q) / s0 ** 3
         f_qqb = 8.0 * R2 * R2 * uu / s0 ** 3 + 24.0 * R2 * R2 * uu * np.abs(q) ** 2 / s0 ** 4
@@ -398,16 +381,14 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
         Wm += sp.toep(w_kin * f_qub) * dwc[None, :]
         Wm += dw[:, None] * sp.toep(w_kin * np.conj(f_qub))
 
-    for j, (P, Fp, Fpp) in enumerate(pair_data):
-        w, a0, a1, Pa, Pb = pair_first[j]
+    for P, (_, Fp, Fpp), qj, sig, (w, a0, a1, Pa, Pb) in zip(
+        state.seps_sq, state.kernels, state.qj, state.sigmas, pair_first
+    ):
         winv2 = 1.0 / (w * w)
         if planar:
-            da00 = -winv2
-            da11 = -winv2
-            h0 = 0.0
-            h1 = 0.0
+            da00 = da11 = -winv2
+            h0 = h1 = 0.0
         else:
-            qj = state.qj[j]
             sj = R2 - np.abs(qj) ** 2
             da00 = -winv2 + np.conj(q) ** 2 / (s0 * s0)
             da11 = -winv2 + np.conj(qj) ** 2 / (sj * sj)
@@ -422,7 +403,6 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
         B01 = Fpp * Pa * np.conj(Pb) + Fp * P * (a0 * np.conj(a1))
         B11 = Fpp * np.abs(Pb) ** 2 + Fp * P * (np.abs(a1) ** 2 + h1)
 
-        sig = state.sigmas[j]
         sigc = np.conj(sig)
         H01 = sp.hank(w_pot * A01)
         T += sp.hank(w_pot * A00)
@@ -475,10 +455,9 @@ def pairwise_separations(path: TrigPath, config: Configuration) -> list[NodeValu
         from .geometry import OutOfDiskError
 
         raise OutOfDiskError("trajectory leaves the disk")
-    seps_sq = state.separations_squared()
-    if state.collided(seps_sq):
+    if state.collided():
         raise CollisionError("pair separation at the collision threshold")
-    return [NodeValues(np.sqrt(p).astype(complex)) for p in seps_sq]
+    return [NodeValues(np.sqrt(p).astype(complex)) for p in state.seps_sq]
 
 
 def hyperboloid_energies(path: TrigPath, config: Configuration, times) -> tuple[np.ndarray, np.ndarray]:

@@ -154,11 +154,14 @@ def _sweep_rows(label: str, result: ContinuationResult) -> str:
 
 
 def cmd_sweep(args) -> int:
-    family = _load_file(args.family)
-    radii = sorted({float(tok) for tok in args.R_list.split(",") if tok.strip()}, reverse=True)
-    if not radii:
-        print("empty R list", file=sys.stderr)
+    try:
+        radii = sorted({float(tok) for tok in args.R_list.split(",") if tok.strip()}, reverse=True)
+    except ValueError:
+        radii = []
+    if not radii or not all(0.0 < R < math.inf for R in radii):
+        print(f"R list {args.R_list!r}: need comma-separated finite positive radii", file=sys.stderr)
         return EXIT_FILE_ERROR
+    family = _load_file(args.family)
     K1 = args.K if args.K is not None else (family.config.K + 1) // 2
     K2 = args.K2 if args.K2 is not None else family.config.K
     options2 = Phase2Options(K2=K2)

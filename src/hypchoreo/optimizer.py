@@ -10,7 +10,7 @@ Because the action is invariant under rotations of the disk and time
 shifts of the path (and under boosts for some configurations), its
 Hessian is singular along those directions at every minimizer.  Newton
 steps therefore go through an eigendecomposition H = V diag(lam) V^T and
-divide by max(|lam|, epsilon + 1e-12 ||H||): the floor only damps the
+divide by max(|lam|, 1e-10 + 1e-12 ||H||): the floor only damps the
 pure-symmetry components of the step and leaves quadratic convergence in
 the remaining directions intact, and taking |lam| turns negative
 curvature into descent.
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import Configuration, action_value, evaluate
+from .action import Configuration, _separations_squared, action_value, evaluate
 from .trigpath import TrigPath, nodes, pack_vars, unpack_vars
 from .verify import PhaseRecord, SolveReport, coefficient_decay, path_residual
 
@@ -50,6 +50,17 @@ __all__ = [
     "random_seed",
     "solve",
 ]
+
+
+# Armijo backtracking of Phase 1: sufficient-decrease constant, step
+# reduction per trial, and trials per line search.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 60
+
+# Absolute part of the Newton eigenvalue floor protecting the gauge null
+# modes; a relative part 1e-12 ||H|| is always added.
+_EIGENVALUE_FLOOR = 1e-10
 
 
 class InfeasibleSeedError(ValueError):
@@ -72,19 +83,14 @@ class SolveFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Phase1Options:
-    """BFGS controls: iteration cap, relative gradient tolerance, Armijo line search."""
+    """BFGS controls: iteration cap and relative gradient tolerance."""
 
     max_iterations: int = 500
     gradient_tolerance: float = 1e-7
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 60
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0.0 or self.armijo_c1 <= 0.0:
+        if self.gradient_tolerance <= 0.0:
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -94,18 +100,15 @@ class Phase2Options:
     The iteration converges when the relative gradient norm reaches
     gradient_tolerance or, when that lies below what float64 coefficients
     can resolve, the rounding floor eps || |H| |x| || / ||x|| of the
-    current iterate; max_iterations caps the Newton steps.  epsilon is the
-    absolute part of the eigenvalue floor protecting the gauge null modes;
-    a relative part 1e-12 |H| is always added.
+    current iterate; max_iterations caps the Newton steps.
     """
 
     max_iterations: int = 10
     gradient_tolerance: float = 1e-13
     K2: int | None = None
-    epsilon: float = 1e-10
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0.0 or self.epsilon <= 0.0:
+        if self.gradient_tolerance <= 0.0:
             raise ValueError("tolerances must be positive")
 
 
@@ -189,15 +192,15 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
 
         step = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_new = x + step * p
             f_new = float(fun(x_new))
-            if math.isfinite(f_new) and f_new <= f + opts.armijo_c1 * step * slope:
+            if math.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * step * slope:
                 accepted = True
                 break
-            step *= opts.backtrack_factor
+            step *= _BACKTRACK_FACTOR
         if not accepted:
-            if opts.armijo_c1 * step * abs(slope) < 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
+            if _ARMIJO_C1 * step * abs(slope) < 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
                 # The smallest trial demanded less decrease than fun can
                 # resolve: the iterate sits at the rounding floor.  Stop
                 # here; a second-order method can still make progress.
@@ -294,7 +297,7 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
         # Saddle-free step: descend along negative-curvature directions by
         # their magnitude, and floor the gauge-symmetry null modes so their
         # noise components produce no step to speak of.
-        lam_eff = np.maximum(np.abs(lam), opts.epsilon + 1e-12 * h_norm)
+        lam_eff = np.maximum(np.abs(lam), _EIGENVALUE_FLOOR + 1e-12 * h_norm)
         step = -vecs @ ((vecs.T @ g) / lam_eff)
 
         # Halve the step while it leaves the feasible region or increases
@@ -361,6 +364,7 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
     k = np.arange(-modes, modes + 1)
     t = nodes(1024)
     shifts = 2.0 * np.pi * np.arange(1, config.n) / config.n
+    R2 = None if config.is_planar else config.R * config.R
 
     for _ in range(100):
         c = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) * 2.0 ** (-np.abs(k))
@@ -371,22 +375,8 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
             continue
         c = c * (0.6 * scale_ref / peak)
         path = TrigPath(c)
-        q = path.eval(t)
-        feasible = True
-        for tau in shifts:
-            qj = path.eval(t + tau)
-            w = np.abs(q - qj)
-            if config.is_planar:
-                sep = w
-            else:
-                R2 = config.R * config.R
-                s0 = R2 - np.abs(q) ** 2
-                sj = R2 - np.abs(qj) ** 2
-                sep = 2.0 * R2 * w / np.sqrt(s0 * sj)
-            if float(np.min(sep)) < 0.05 * scale_ref:
-                feasible = False
-                break
-        if feasible:
+        seps_sq = _separations_squared(path.eval(t), [path.eval(t + tau) for tau in shifts], R2)
+        if min(float(np.min(p)) for p in seps_sq) >= (0.05 * scale_ref) ** 2:
             return path.pad(config.K)
     raise InfeasibleSeedError("no feasible random seed found in 100 draws")
 

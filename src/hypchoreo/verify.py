@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import CollisionError, Configuration, evaluate
+from .action import COLLISION_THRESHOLD, CollisionError, Configuration, evaluate
 from .geometry import OutOfDiskError
 from .trigpath import TrigPath, nodes, pack_vars
 
@@ -153,7 +153,7 @@ def path_residual(path: TrigPath, config: Configuration, node_count: int | None 
         for zi in z[1:]:
             diff = zi - z0
             dist = np.abs(diff)
-            if np.min(dist) <= 1e-13:
+            if np.min(dist) <= COLLISION_THRESHOLD:
                 raise CollisionError("colliding bodies in residual evaluation")
             rhs = rhs + diff / dist ** 3
     else:

@@ -151,9 +151,9 @@ class TestDerivatives:
         assert np.array_equal(e1.gradient, e2.gradient)
         assert e0.gradient is None and e1.hessian is None
 
-    def test_precise_gradient_agrees(self):
+    @pytest.mark.parametrize("config", FD_CONFIGS)
+    def test_precise_gradient_agrees(self, config):
         rng = np.random.default_rng(45)
-        config = Configuration(n=3, R=1.5, K=10)
         x = feasible_point(config, rng)
         fast = action_gradient(x, config)
         slow = action_gradient(x, config, precise=True)

@@ -154,8 +154,11 @@ class TestSweep:
         assert len(rows) == 2
         assert all(row[3] == "" for row in rows)
 
-    def test_empty_radius_list_exit_4(self, circle_solution, capsys):
-        code = main(["sweep", "--family", str(circle_solution), "--R-list", " , "])
+    @pytest.mark.parametrize(
+        "radii", [" , ", "a,10", "10,-5", "inf,10"], ids=["empty", "not_a_number", "negative", "infinite"]
+    )
+    def test_empty_radius_list_exit_4(self, circle_solution, capsys, radii):
+        code = main(["sweep", "--family", str(circle_solution), "--R-list", radii])
         assert code == 4
 
 

@@ -136,10 +136,6 @@ class TestMinimizeBfgs:
     def test_option_validation(self):
         with pytest.raises(ValueError):
             Phase1Options(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            Phase1Options(backtrack_factor=1.0)
-        with pytest.raises(ValueError):
-            Phase2Options(epsilon=0.0)
 
 
 class TestCircleEquilibria:
