@@ -7,11 +7,13 @@ seeds the largest-R solve, and each converged member seeds the next,
 which keeps the whole family on one solution branch and preserves its
 rotation and phase gauge along the way.
 
-The distance between a disk orbit and its flat counterpart is measured
-as the infinity-norm of 2 q_R(t) - q_flat(t) on a dense time grid, after
-aligning the free gauges: the time shift s and rotation angle theta are
-optimized by nested one-dimensional minimizations, seeded by a coarse
-scan with the closed-form best rotation for each candidate shift.
+The distance between a disk orbit and its flat counterpart is the
+infinity-norm of 2 q_R(t) - q_flat(t) on a dense time grid, at the
+least-squares gauge: the time shift and rotation that minimize the
+2-norm of the coefficient difference.  Unlike the kinked sup norm, that
+objective is smooth and its optimum follows a gauge motion of either
+orbit exactly, so the diff is invariant under both motions down to
+rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .action import Configuration
 from .optimizer import (
@@ -31,7 +32,7 @@ from .optimizer import (
     SolveFailure,
     solve,
 )
-from .trigpath import TrigPath, nodes
+from .trigpath import TrigPath
 from .verify import VerificationThresholds, verify_all
 
 __all__ = [
@@ -105,12 +106,14 @@ def _fit_bandwidth(path: TrigPath, K: int) -> TrigPath:
 
 
 def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
-    """Aligned infinity-norm distance between a disk orbit and its flat limit.
+    """Infinity-norm distance between a disk orbit and its flat limit.
 
-    Computes max_t |2 q_R(t) - q_flat(t)| over a 10x oversampled grid,
-    minimized over a time shift and a rotation of the disk orbit.  The
-    doubling applies only to genuinely hyperbolic input; comparing two
-    flat solutions uses factor 1 (so a solution against itself gives 0).
+    Computes max_t |2 e^{i theta} q_R(t + s) - q_flat(t)| over a 10x
+    oversampled grid, with the shift s and rotation theta that minimize
+    the 2-norm of the coefficient difference (see the module docstring).
+    The doubling applies only to genuinely hyperbolic input; comparing
+    two flat solutions uses factor 1 (so a solution against itself
+    gives 0).
     """
     if hyperbolic.config.n != planar.config.n:
         raise ValueError("families have different body counts")
@@ -119,91 +122,36 @@ def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
     K_common = max(hyperbolic.path.K, planar.path.K)
     reference = planar.path.pad(K_common).coeffs
     moving = hyperbolic.path.pad(K_common)
-
-    # Work on the coefficient-space difference, formed in extended precision:
-    # the difference path is O(diff) while the orbits are O(1), so double
-    # rounding in the subtraction would put a noise floor of eps * |orbit|
-    # on every evaluation and dominate gauge-invariance comparisons.
     wavenumbers = moving.wavenumbers
-    c_ext = moving.coeffs.astype(np.clongdouble)
-    p_ext = reference.astype(np.clongdouble)
-    factor_ext = np.clongdouble(factor)
 
-    def aligned_diff(s: float, theta: float) -> float:
-        arg = np.longdouble(theta) + wavenumbers * np.longdouble(s)
-        phase = np.cos(arg) + 1j * np.sin(arg)
-        d = (factor_ext * phase * c_ext - p_ext).astype(complex)
-        return float(np.max(np.abs(TrigPath(d).at_nodes(count).values)))
+    # ||f e^{i theta} c e^{iks} - p||^2 = const - 2 Re(e^{i theta} S(s)) with
+    # the overlap S(s) = sum_k f c_k conj(p_k) e^{iks}, so theta = -arg S(s)
+    # and s maximizes |S(s)|: take the best node of a 4x oversampled grid,
+    # then Newton steps on |S|^2, each clipped to half a grid spacing.  A
+    # curvature that is not negative means |S| is flat there (a circle).
+    overlap = TrigPath(factor * moving.coeffs * np.conj(reference))
+    grid = 4 * overlap.coeffs.size
+    s = 2.0 * np.pi * int(np.argmax(np.abs(overlap.at_nodes(grid).values))) / grid
+    for _ in range(8):
+        terms = overlap.shift(s).coeffs
+        S = terms.sum()
+        dS = np.sum(1j * wavenumbers * terms)
+        d2S = -np.sum(wavenumbers ** 2 * terms)
+        slope = (np.conj(S) * dS).real
+        curvature = abs(dS) ** 2 + (np.conj(S) * d2S).real
+        if not curvature < 0.0:
+            break
+        s += float(np.clip(-slope / curvature, -np.pi / grid, np.pi / grid))
+    theta = -np.angle(overlap.shift(s).coeffs.sum())
 
-    def best_theta_l2(s: float) -> float:
-        shifted = factor * moving.shift(s).coeffs
-        overlap = complex(np.sum(shifted * np.conj(reference)))
-        if overlap == 0.0:
-            return 0.0
-        return float(-np.angle(overlap))
-
-    # Coarse scan over the shift with the closed-form 2-norm rotation.
-    scan = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    best = (math.inf, 0.0, 0.0)
-    for s in scan:
-        theta = best_theta_l2(float(s))
-        d = aligned_diff(float(s), theta)
-        if d < best[0]:
-            best = (d, float(s), theta)
-
-    def inner(s: float) -> float:
-        theta0 = best_theta_l2(s)
-        res = minimize_scalar(
-            lambda th: aligned_diff(s, th),
-            bounds=(theta0 - 0.5, theta0 + 0.5),
-            method="bounded",
-            options={"xatol": 1e-10},
-        )
-        return float(res.fun)
-
-    spacing = float(scan[1] - scan[0])
-    outer = minimize_scalar(
-        inner,
-        bounds=(best[1] - spacing, best[1] + spacing),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    s_hat = float(outer.x)
-    theta_hat = best_theta_l2(s_hat)
-    theta_refine = minimize_scalar(
-        lambda th: aligned_diff(s_hat, th),
-        bounds=(theta_hat - 0.5, theta_hat + 0.5),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    theta_hat = float(theta_refine.x)
-
-    # Polish the alignment to machine resolution.  The sup-norm objective is
-    # kinked at its minimum, so the bounded searches above stop near their
-    # xatol; golden-section contraction on the located bracket removes the
-    # remaining wobble, which would otherwise dominate gauge-invariance
-    # comparisons of the diff.
-    def _golden(f, lo: float, hi: float, iterations: int) -> tuple[float, float]:
-        ratio = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c, d = b - ratio * (b - a), a + ratio * (b - a)
-        fc, fd = f(c), f(d)
-        for _ in range(iterations):
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - ratio * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + ratio * (b - a)
-                fd = f(d)
-        return (c, fc) if fc <= fd else (d, fd)
-
-    def polished(s: float) -> float:
-        return _golden(lambda th: aligned_diff(s, th), theta_hat - 1e-6, theta_hat + 1e-6, 50)[1]
-
-    _, value = _golden(polished, s_hat - 1e-9, s_hat + 1e-9, 50)
-    return min(value, float(outer.fun), best[0])
+    # Form the difference in extended precision: it is O(diff) while the
+    # orbits are O(1), so double rounding in the subtraction would put a
+    # noise floor of eps * |orbit| on every evaluation.
+    arg = np.longdouble(theta) + wavenumbers * np.longdouble(s)
+    phase = np.cos(arg) + 1j * np.sin(arg)
+    d = np.clongdouble(factor) * phase * moving.coeffs.astype(np.clongdouble)
+    d = (d - reference.astype(np.clongdouble)).astype(complex)
+    return float(np.max(np.abs(TrigPath(d).at_nodes(count).values)))
 
 
 def continue_in_R(

@@ -1,6 +1,8 @@
 """Curvature sweeps: alignment metric oracles, family convergence rates."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,21 +18,23 @@ from hypchoreo.continuation import (
     solve_planar,
 )
 from hypchoreo.optimizer import Choreography
+from hypchoreo.solutions import load_bundled
 from hypchoreo.trigpath import TrigPath
 from hypchoreo.verify import SolveReport, VerificationThresholds
 
 
-def critical_circle_radius(n, R):
-    """Root of the radial force balance for the circular orbit (see
-    test_verify for the derivation); flat case in closed form."""
+def critical_circle_radius(n, R, speed=1.0):
+    """Root of the radial force balance for the circular orbit traversed
+    at angular speed k + omega (see test_verify for the derivation); flat
+    case in closed form."""
     chi = [2.0 * math.sin(math.pi * j / n) for j in range(1, n)]
     if math.isinf(R):
-        return (0.5 * sum(1.0 / x for x in chi)) ** (1.0 / 3.0)
+        return (sum(1.0 / x for x in chi) / (2.0 * speed ** 2)) ** (1.0 / 3.0)
 
     def balance(r):
         u = r * r
         lam = 4.0 * R ** 4 / (R * R - u) ** 2
-        total = 1.0
+        total = speed ** 2
         for x in chi:
             D = lam * u * x * x
             total += (1.0 / R) * x * x * (-4.0 * R ** 4) * (D * D + 4.0 * R * R * D) ** -1.5
@@ -113,10 +117,26 @@ class TestPlanarLimitDiff:
         with pytest.raises(ValueError):
             planar_limit_diff(a, b)
 
-    def test_gauge_invariance_of_the_metric(self, planar_two_body):
-        planar = center_planar(planar_two_body)
-        r_disk = critical_circle_radius(2, 20.0)
-        disk = circle_choreo(r_disk, 4, Configuration(n=2, R=20.0, K=4))
+    @pytest.mark.parametrize("case", ["circle", "perturbed_figure_eight"])
+    def test_gauge_invariance_of_the_metric(self, planar_two_body, case):
+        if case == "circle":
+            planar = center_planar(planar_two_body)
+            r_disk = critical_circle_radius(2, 20.0)
+            disk = circle_choreo(r_disk, 4, Configuration(n=2, R=20.0, K=4))
+        else:
+            # Off the circle the overlap |S(s)| has isolated maxima, so the
+            # aligned shift itself must move with the gauge of the input.
+            orbit = load_bundled("figure_eight")
+            K = orbit.path.K
+            planar = Choreography(
+                Configuration(n=3, R=math.inf, K=K),
+                TrigPath(2.0 * orbit.path.coeffs),
+                SolveReport(),
+            )
+            c = orbit.path.coeffs.copy()
+            c[K + 1] += 1e-6
+            c[K - 3] += 0.5e-6j
+            disk = Choreography(Configuration(n=3, R=1000.0, K=K), TrigPath(c), SolveReport())
         base = planar_limit_diff(disk, planar)
         for theta, s in ((0.9, 2.0), (-1.4, 0.7)):
             moved = TrigPath(disk.path.shift(s).coeffs * np.exp(1j * theta))
@@ -145,6 +165,23 @@ class TestContinueInR:
         for member in swept_family.members:
             expect = abs(2.0 * critical_circle_radius(2, member.R) - r_flat)
             assert member.diff_to_planar == pytest.approx(expect, rel=1e-4), f"R={member.R}"
+
+    def test_rotating_circle_diffs_match_closed_form(self):
+        # The omega = 2.8 family of criterion 04 is a circle at k = -2,
+        # traversed at speed k + omega = 0.8; its diffs are the concentric
+        # circle values.
+        k, omega, K = -2, 2.8, 3
+        speed = k + omega
+        r_flat = critical_circle_radius(5, math.inf, speed)
+        c = np.zeros(2 * K + 1, dtype=complex)
+        c[K + k] = 1.1 * r_flat
+        planar = solve_planar(Configuration(n=5, R=math.inf, K=K, omega=omega), TrigPath(c))
+        radii = [1000.0, 100.0, 10.0]
+        family = continue_in_R(Configuration(n=5, R=radii[0], K=K, omega=omega), radii, planar)
+        assert family.complete
+        for member in family.members:
+            expect = abs(2.0 * critical_circle_radius(5, member.R, speed) - r_flat)
+            assert member.diff_to_planar == pytest.approx(expect, rel=1e-8), f"R={member.R}"
 
     def test_diffs_decrease_with_R(self, swept_family):
         diffs = [m.diff_to_planar for m in reversed(swept_family.members)]
@@ -195,3 +232,11 @@ class TestConvergenceRate:
         ]
         with pytest.raises(ValueError):
             convergence_rate(members)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what the
+    # package itself imports.
+    probe = "import sys, hypchoreo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
