@@ -26,11 +26,12 @@ First derivatives pull back through E^T; second derivatives need the node
 grid are a Hankel and a Toeplitz matrix read off the FFT of d.  Each
 Hessian therefore costs O(n (M log M + K^2)) instead of O(n K^2 M).
 
-The gradient formula is written once and runs on one of two transforms,
-each built once per (K, precise) and cached: double-precision FFTs, or a
-long-double dense E for the Newton endgame and the final verification,
-whose rounding floor lies far below the FFT gradient's (about 1e-12
-relative at converged solutions) wherever long double is wider than double.
+The gradient formula is written once and runs on the same FFT transform
+in one of two precisions, each built once per (K, precise) and cached:
+double precision, or long double for the Newton endgame and the final
+verification, whose rounding floor lies far below the double-precision
+gradient's (about 1e-12 relative at converged solutions) wherever long
+double is wider than double.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ DISK_MARGIN = 1e-12
 # Pair separations at or below this threshold count as collisions.
 COLLISION_THRESHOLD = 1e-13
 
-# pi to extended (80-bit) precision, for the long-double dense transform.
+# pi to extended (80-bit) precision, for the long-double transform.
 _PI_EXTENDED = np.longdouble("3.14159265358979323846264338327950288")
 
 
@@ -126,7 +127,9 @@ def quadrature_size(K: int) -> int:
 
 
 class _Spectral:
-    """Double-precision FFT transforms for one (bandwidth, grid) pair.
+    """FFT transforms for one (bandwidth, grid) pair in one real dtype:
+    float64, or long double for the precise gradient (numpy >= 2 runs its
+    FFT natively in long double).
 
     values:  node values of sum_k c_k exp(i k t_m)
     adjoint: (E^T g)_k      = sum_m g_m exp(+i k t_m)
@@ -136,18 +139,19 @@ class _Spectral:
         the coefficients of q(t) into those of q(t + 2 pi j / n)
     """
 
-    real = np.float64
-    pi = np.pi
-
-    def __init__(self, K: int, M: int):
+    def __init__(self, K: int, M: int, real):
         self.M = M
-        self.k = np.arange(-K, K + 1)
-        self._kmod = self.k % M
-        self._hidx = (self.k[:, None] + self.k[None, :]) % M
-        self._tidx = (self.k[:, None] - self.k[None, :]) % M
+        self.real = real
+        self.pi = np.pi if real is np.float64 else _PI_EXTENDED
+        k = np.arange(-K, K + 1)
+        # k in the transform's dtype, so that dw * c keeps its precision.
+        self.k = k.astype(real)
+        self._kmod = k % M
+        self._hidx = (k[:, None] + k[None, :]) % M
+        self._tidx = (k[:, None] - k[None, :]) % M
 
     def values(self, c: np.ndarray) -> np.ndarray:
-        spectrum = np.zeros(self.M, dtype=complex)
+        spectrum = np.zeros(self.M, dtype=np.result_type(self.real, 1j))
         spectrum[self._kmod] = c
         return self.M * np.fft.ifft(spectrum)
 
@@ -164,38 +168,13 @@ class _Spectral:
         return self._transform(d)[self._tidx]
 
     def shift_phases(self, n: int) -> list[np.ndarray]:
-        return [np.exp(2j * np.pi * j * self.k / n) for j in range(1, n)]
-
-
-class _DenseSpectral:
-    """Long-double values, adjoint and shift_phases by O(M N) products with
-    the dense basis E = exp(i k t_m); first derivatives only.
-    """
-
-    real = np.longdouble
-    pi = _PI_EXTENDED
-
-    def __init__(self, K: int, M: int):
-        self.M = M
-        self.k = np.arange(-K, K + 1).astype(np.longdouble)
-        t = 2.0 * _PI_EXTENDED * np.arange(M).astype(np.longdouble) / M
-        self.E = np.exp(1j * np.outer(t, self.k).astype(np.clongdouble))
-
-    def values(self, c: np.ndarray) -> np.ndarray:
-        return self.E @ c
-
-    def adjoint(self, d: np.ndarray) -> np.ndarray:
-        return self.E.T @ d
-
-    def shift_phases(self, n: int) -> list[np.ndarray]:
-        return [np.exp(2j * (_PI_EXTENDED * j / n * self.k).astype(np.clongdouble)) for j in range(1, n)]
+        return [np.exp(2j * self.pi * j * self.k / n) for j in range(1, n)]
 
 
 @functools.lru_cache(maxsize=32)
-def _transform(K: int, precise: bool) -> _Spectral | _DenseSpectral:
+def _transform(K: int, precise: bool) -> _Spectral:
     """The transform for bandwidth K on its quadrature grid, built once."""
-    M = quadrature_size(K)
-    return _DenseSpectral(K, M) if precise else _Spectral(K, M)
+    return _Spectral(K, quadrature_size(K), np.longdouble if precise else np.float64)
 
 
 def _coefficients(x, config: Configuration) -> np.ndarray:
@@ -217,7 +196,7 @@ def _separations_squared(q: np.ndarray, shifted: list[np.ndarray], R2=None) -> l
 
 class _NodeState:
     """Node values of the path, its shifted copies, and the rotating velocity,
-    in the precision of the transform (long double when precise)."""
+    in the dtype of the transform (long double when precise)."""
 
     def __init__(self, c: np.ndarray, config: Configuration, precise: bool = False):
         K = (c.size - 1) // 2
@@ -325,10 +304,10 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     Infeasible points (node outside the disk margin, or a pair separation
     at the collision threshold) yield value = +inf and NaN derivatives.
     The value, the Hessian and by default the gradient are computed with
-    the double-precision FFT transform.  precise = True runs the same
-    gradient formula on the long-double dense transform instead (slower,
-    with a rounding floor far below the FFT gradient's).  Each transform
-    is built once per (K, precise) and cached.
+    double-precision FFTs.  precise = True runs the same gradient formula
+    on long-double FFTs instead (slower, with a rounding floor far below
+    the double-precision gradient's).  Each transform is built once per
+    (K, precise) and cached.
     """
     c = _coefficients(x, config)
     state = _NodeState(c, config)

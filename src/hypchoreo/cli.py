@@ -65,6 +65,18 @@ def _radius(text: str) -> float:
     return value
 
 
+def _at_least(minimum: int):
+    """argparse type for an integer no smaller than minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _format_report(report: SolveReport) -> str:
     records = [(label, rec) for label, rec in (("Phase 1", report.phase1), ("Phase 2", report.phase2)) if rec is not None]
     if not records:
@@ -273,16 +285,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_flags(p):
-        p.add_argument("--n", type=int, required=True, help="number of bodies")
+        p.add_argument("--n", type=_at_least(2), required=True, help="number of bodies")
         p.add_argument("--R", type=_radius, required=True, help="curvature radius, or inf")
         p.add_argument("--omega", type=float, default=0.0, help="rotating-frame angular velocity")
-        p.add_argument("--K", type=int, required=True, help="bandwidth (2K+1 coefficients)")
-        p.add_argument("--K2", type=int, default=None, help="padded bandwidth for Newton (default 2K)")
+        p.add_argument("--K", type=_at_least(1), required=True, help="bandwidth (2K+1 coefficients)")
+        p.add_argument("--K2", type=_at_least(1), default=None, help="padded bandwidth for Newton (default 2K)")
 
     p_solve = sub.add_parser("solve", help="two-phase minimization from a seed")
     add_config_flags(p_solve)
     p_solve.add_argument("--seed", required=True, help="integer (random seed) or solution/seed file; bundled:<name> for shipped seeds")
-    p_solve.add_argument("--modes", type=int, default=5, help="bandwidth of integer-seeded random paths")
+    p_solve.add_argument("--modes", type=_at_least(1), default=5, help="bandwidth of integer-seeded random paths")
     p_solve.add_argument("--out", default=None, help="write the solution file here")
     p_solve.set_defaults(handler=cmd_solve)
 
@@ -296,15 +308,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="continue a family in R and compare to the flat limit")
     p_sweep.add_argument("--family", required=True, help="solution file identifying the family")
     p_sweep.add_argument("--R-list", required=True, help="comma-separated radii, e.g. 10,100,1000")
-    p_sweep.add_argument("--K", type=int, default=None, help="phase-1 bandwidth for members (default half the file's)")
-    p_sweep.add_argument("--K2", type=int, default=None, help="phase-2 bandwidth for members (default the file's)")
+    p_sweep.add_argument("--K", type=_at_least(1), default=None, help="phase-1 bandwidth for members (default half the file's)")
+    p_sweep.add_argument("--K2", type=_at_least(1), default=None, help="phase-2 bandwidth for members (default the file's)")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
     p_export = sub.add_parser("export", help="emit orbit samples or coefficient magnitudes as CSV")
     p_export.add_argument("file", help="solution file (or bundled:<name>)")
     p_export.add_argument("--format", choices=("csv", "coeffs"), required=True)
-    p_export.add_argument("--samples", type=int, default=2048)
+    p_export.add_argument("--samples", type=_at_least(1), default=2048)
     p_export.add_argument("--out", default=None, help="output path (default stdout)")
     p_export.set_defaults(handler=cmd_export)
 
@@ -312,14 +324,17 @@ def _build_parser() -> argparse.ArgumentParser:
     add_config_flags(p_search)
     p_search.add_argument("--trials", type=int, default=20)
     p_search.add_argument("--rng", type=int, default=0, help="base seed; trial i uses rng + i")
-    p_search.add_argument("--modes", type=int, default=5)
+    p_search.add_argument("--modes", type=_at_least(1), default=5)
     p_search.add_argument("--out-dir", default=".", help="directory for search_NNN.json files")
     p_search.set_defaults(handler=cmd_search)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "K2", None) is not None and args.K is not None and args.K2 < args.K:
+        parser.error("--K2 must be at least --K")
     try:
         return args.handler(args)
     except InfeasibleSeedError as exc:

@@ -16,6 +16,7 @@ from hypchoreo.action import (
     hyperboloid_energies,
     pairwise_separations,
     quadrature_size,
+    _transform,
 )
 from hypchoreo.optimizer import random_seed
 from hypchoreo.trigpath import TrigPath, nodes, pack_vars, rotate_vars, shift_vars
@@ -158,6 +159,29 @@ class TestDerivatives:
         fast = action_gradient(x, config)
         slow = action_gradient(x, config, precise=True)
         assert float(np.max(np.abs(fast - slow))) <= 1e-11 * float(np.linalg.norm(fast))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps == np.finfo(float).eps, reason="long double is double precision here"
+    )
+    @pytest.mark.parametrize("K", [10, 52, 152])
+    def test_long_double_transform_matches_exact_twiddle_dft(self, K):
+        # The reference reduces m k mod M before exp, so its twiddles carry
+        # no rounding from large arguments.
+        sp = _transform(K, True)
+        k = np.arange(-K, K + 1)
+        r = (np.arange(sp.M)[:, None] * k[None, :]) % sp.M
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        E = np.exp(1j * (2 * pi * r.astype(np.longdouble) / sp.M))
+        rng = np.random.default_rng(K)
+
+        def random_complex(size):
+            return (rng.standard_normal(size) + 1j * rng.standard_normal(size)).astype(np.clongdouble)
+
+        c, d = random_complex(k.size), random_complex(sp.M)
+        for got, want in ((sp.values(c), E @ c), (sp.adjoint(d), E.T @ d)):
+            assert got.dtype == np.clongdouble
+            error = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            assert error <= 20 * float(np.finfo(np.longdouble).eps)
 
 
 class TestSymmetries:

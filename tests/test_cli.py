@@ -162,6 +162,26 @@ class TestSweep:
         assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "bundled:figure_eight", "--format", "csv", "--samples", "0"],
+        ["solve", "--n", "2", "--R", "20", "--K", "10", "--K2", "5", "--seed", "1"],
+        ["solve", "--n", "1", "--R", "20", "--K", "4", "--seed", "1"],
+        ["solve", "--n", "2", "--R", "20", "--K", "4", "--seed", "1", "--modes", "0"],
+        ["search", "--n", "2", "--R", "1.5", "--K", "0"],
+        ["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K", "0"],
+    ],
+    ids=["samples_0", "K2_below_K", "n_1", "modes_0", "search_K_0", "sweep_K_0"],
+)
+def test_bad_integer_argument_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 class TestExport:
     def test_samples_csv(self, circle_solution, capsys):
         code = main(["export", str(circle_solution), "--format", "csv", "--samples", "64"])
