@@ -25,6 +25,13 @@ First derivatives pull back through E^T; second derivatives need the node
 -diagonal forms E^T diag(d) E and E^T diag(d) conj(E), which on a uniform
 grid are a Hankel and a Toeplitz matrix read off the FFT of d.  Each
 Hessian therefore costs O(n (M log M + K^2)) instead of O(n K^2 M).
+Each stage stacks its rows into one inverse FFT along the last axis: the
+node values of q, its velocity and the n-1 shifted copies; the kinetic
+and pair rows of the gradient pull-back; the Hankel and Toeplitz sources
+of the Hessian.  An evaluation thus makes one FFT call per stage for any
+n, and every row keeps the digits it would get alone.  evaluate keeps
+the node state and value of the latest point, so a gradient or Hessian
+asked for right after the value at the same point skips the first stage.
 
 The gradient formula is written once and runs on the same FFT transform
 in one of two precisions, each built once per (K, precise) and cached:
@@ -131,12 +138,18 @@ class _Spectral:
     float64, or long double for the precise gradient (numpy >= 2 runs its
     FFT natively in long double).
 
-    values:  node values of sum_k c_k exp(i k t_m)
-    adjoint: (E^T g)_k      = sum_m g_m exp(+i k t_m)
-    hank:    (E^T D E)_kl   = sum_m d_m exp(+i (k+l) t_m)
-    toep:    (E^T D Ebar)_kl = sum_m d_m exp(+i (k-l) t_m)
-    shift_phases: exp(2 pi i j k / n), j = 1..n-1, the factors that turn
-        the coefficients of q(t) into those of q(t + 2 pi j / n)
+    values, transform and adjoint act on the last axis, so a stacked
+    (rows, .) array goes through one inverse FFT; each row gets exactly
+    the digits it would get alone.
+
+    values:    node values of sum_k c_k exp(i k t_m)
+    transform: f_r = sum_m d_m exp(+i r t_m), r = 0..M-1
+    adjoint:   (E^T g)_k      = sum_m g_m exp(+i k t_m)
+    hank:      (E^T D E)_kl   = sum_m d_m exp(+i (k+l) t_m), from f = transform(d)
+    toep:      (E^T D Ebar)_kl = sum_m d_m exp(+i (k-l) t_m), from f = transform(d)
+    shift_phases: exp(2 pi i j k / n), row j-1 for j = 1..n-1, the factors
+        that turn the coefficients of q(t) into those of q(t + 2 pi j / n);
+        computed once per n and read-only
     """
 
     def __init__(self, K: int, M: int, real):
@@ -149,26 +162,31 @@ class _Spectral:
         self._kmod = k % M
         self._hidx = (k[:, None] + k[None, :]) % M
         self._tidx = (k[:, None] - k[None, :]) % M
+        self._phases: dict[int, np.ndarray] = {}
 
     def values(self, c: np.ndarray) -> np.ndarray:
-        spectrum = np.zeros(self.M, dtype=np.result_type(self.real, 1j))
-        spectrum[self._kmod] = c
-        return self.M * np.fft.ifft(spectrum)
+        spectrum = np.zeros(c.shape[:-1] + (self.M,), dtype=np.result_type(self.real, 1j))
+        spectrum[..., self._kmod] = c
+        return self.transform(spectrum)
 
-    def _transform(self, d: np.ndarray) -> np.ndarray:
-        return self.M * np.fft.ifft(d)
+    def transform(self, d: np.ndarray) -> np.ndarray:
+        return self.M * np.fft.ifft(d, axis=-1)
 
     def adjoint(self, d: np.ndarray) -> np.ndarray:
-        return self._transform(d)[self._kmod]
+        return self.transform(d)[..., self._kmod]
 
-    def hank(self, d: np.ndarray) -> np.ndarray:
-        return self._transform(d)[self._hidx]
+    def hank(self, f: np.ndarray) -> np.ndarray:
+        return f[self._hidx]
 
-    def toep(self, d: np.ndarray) -> np.ndarray:
-        return self._transform(d)[self._tidx]
+    def toep(self, f: np.ndarray) -> np.ndarray:
+        return f[self._tidx]
 
-    def shift_phases(self, n: int) -> list[np.ndarray]:
-        return [np.exp(2j * self.pi * j * self.k / n) for j in range(1, n)]
+    def shift_phases(self, n: int) -> np.ndarray:
+        if n not in self._phases:
+            phases = np.array([np.exp(2j * self.pi * j * self.k / n) for j in range(1, n)])
+            phases.flags.writeable = False
+            self._phases[n] = phases
+        return self._phases[n]
 
 
 @functools.lru_cache(maxsize=32)
@@ -185,28 +203,33 @@ def _coefficients(x, config: Configuration) -> np.ndarray:
     return x[:half] + 1j * x[half:]
 
 
-def _separations_squared(q: np.ndarray, shifted: list[np.ndarray], R2=None) -> list[np.ndarray]:
+def _separations_squared(q: np.ndarray, shifted: np.ndarray, R2=None) -> np.ndarray:
     """Squared chordal separations 4R^4 |q - q_j|^2 / (s0 s_j) from each
-    shifted copy, s = R^2 - |.|^2; squared Euclidean ones when R2 is None."""
+    shifted copy (one row each), s = R^2 - |.|^2; squared Euclidean ones
+    when R2 is None."""
     if R2 is None:
-        return [np.abs(q - qj) ** 2 for qj in shifted]
+        return np.abs(q - shifted) ** 2
     s0 = R2 - np.abs(q) ** 2
-    return [4.0 * R2 * R2 * np.abs(q - qj) ** 2 / (s0 * (R2 - np.abs(qj) ** 2)) for qj in shifted]
+    return 4.0 * R2 * R2 * np.abs(q - shifted) ** 2 / (s0 * (R2 - np.abs(shifted) ** 2))
 
 
 class _NodeState:
     """Node values of the path, its shifted copies, and the rotating velocity,
-    in the dtype of the transform (long double when precise)."""
+    in the dtype of the transform (long double when precise).
+
+    q, u and the n-1 shifted copies qj come from one stacked transform;
+    qj and everything derived per pair (seps_sq, kernels) are (n-1, M)
+    arrays with one row per shift j = 1..n-1.
+    """
 
     def __init__(self, c: np.ndarray, config: Configuration, precise: bool = False):
         K = (c.size - 1) // 2
         self.sp = sp = _transform(K, precise)
         self.config = config
-        self.q = sp.values(c)
         self.dw = 1j * (sp.k + config.omega)
-        self.u = sp.values(self.dw * c)
         self.sigmas = sp.shift_phases(config.n)
-        self.qj = [sp.values(sig * c) for sig in self.sigmas]
+        nodes = sp.values(np.vstack((c, self.dw * c, self.sigmas * c)))
+        self.q, self.u, self.qj = nodes[0], nodes[1], nodes[2:]
         self.uu = np.abs(self.u) ** 2
         # Trapezoid weights of the kinetic and the pair integrals.
         self.w_kin = 0.5 * config.n * (2.0 * sp.pi / sp.M)
@@ -232,17 +255,40 @@ class _NodeState:
         return bool(np.max(np.abs(self.q)) >= self.config.R * (1.0 - DISK_MARGIN))
 
     @functools.cached_property
-    def seps_sq(self) -> list[np.ndarray]:
+    def seps_sq(self) -> np.ndarray:
         """Squared chordal (hyperbolic) or Euclidean (planar) separations."""
         return _separations_squared(self.q, self.qj, self.R2)
 
     def collided(self) -> bool:
-        return any(bool(np.min(p) <= COLLISION_THRESHOLD ** 2) for p in self.seps_sq)
+        # Row by row, so that a NaN row cannot mask a collided one.
+        return bool(np.any(np.min(self.seps_sq, axis=-1) <= COLLISION_THRESHOLD ** 2))
 
     @functools.cached_property
-    def kernels(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(F, F', F'') of each pair; only defined once no pair has collided."""
-        return [_pair_kernel(P, self.R2, self.config.is_planar) for P in self.seps_sq]
+    def kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, F', F'') of every pair; only defined once no pair has collided."""
+        return _pair_kernel(self.seps_sq, self.R2, self.config.is_planar)
+
+    def value(self) -> float | None:
+        """The action; None when a node leaves the disk or a pair collides."""
+        if self.out_of_disk() or self.collided():
+            return None
+        value = self.w_kin * float(np.sum(self.lam * self.uu))
+        for pair_sum in np.sum(self.kernels[0], axis=-1):
+            value += self.w_pot * float(pair_sum)
+        return value
+
+
+@functools.lru_cache(maxsize=1)
+def _state_and_value(data: bytes, config: Configuration) -> tuple[_NodeState, float | None]:
+    """Float64 node state and action (None if infeasible) at the
+    coefficients with these bytes.
+
+    Keeping the latest one lets a gradient or Hessian request right after
+    a value request at the same point (BFGS's fun then grad, Newton's
+    value then precise gradient) reuse the node values.
+    """
+    state = _NodeState(np.frombuffer(data, dtype=complex), config)
+    return state, state.value()
 
 
 def _pair_kernel(P: np.ndarray, R2, planar: bool):
@@ -263,38 +309,50 @@ def _pair_kernel(P: np.ndarray, R2, planar: bool):
     return F, Fp, Fpp
 
 
-def _first_order(state: _NodeState) -> tuple[np.ndarray, list[tuple]]:
+def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
     """Packed gradient, pulled back through the state's transform, and the
-    per-pair first-order terms (w, a0, a1, P a0, P a1) the Hessian reuses.
+    per-pair first-order terms (w, a0, a1, P a0, P a1) the Hessian reuses,
+    each an (n-1, M) array.
+
+    The kinetic rows and the two rows of every pair go through one stacked
+    adjoint; their pull-backs are summed in a fixed order: kinetic, then
+    pair by pair.
     """
     sp, planar = state.sp, state.config.is_planar
-    q, u, w_kin, w_pot = state.q, state.u, state.w_kin, state.w_pot
+    q, u, qj, P, w_kin, w_pot = state.q, state.u, state.qj, state.seps_sq, state.w_kin, state.w_pot
+    Fp = state.kernels[1]
 
     # Wirtinger derivatives of the kinetic integrand lam(q) |u|^2.
-    v = sp.adjoint(w_kin * (state.lam * np.conj(u))) * state.dw
+    rows = [w_kin * (state.lam * np.conj(u))]
     if not planar:
         R2, s0 = state.R2, state.s0
         g_q = 8.0 * R2 * R2 * state.uu * np.conj(q) / s0 ** 3
-        v = v + sp.adjoint(w_kin * g_q)
+        rows.append(w_kin * g_q)
 
     # Pair terms: P is a rational function of z0 = q(t) and z1 = q_j(t);
     # alpha_a = d log P / d z_a.
-    pair_first = []
-    for P, (_, Fp, _), qj, sig in zip(state.seps_sq, state.kernels, state.qj, state.sigmas):
-        w = q - qj
-        if planar:
-            a0 = 1.0 / w
-            a1 = -a0
-        else:
-            sj = R2 - np.abs(qj) ** 2
-            a0 = 1.0 / w + np.conj(q) / s0
-            a1 = -1.0 / w + np.conj(qj) / sj
-        Pa = P * a0
-        Pb = P * a1
-        v = v + sp.adjoint(w_pot * Fp * Pa)
-        v = v + sig * sp.adjoint(w_pot * Fp * Pb)
-        pair_first.append((w, a0, a1, Pa, Pb))
-    return np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float, copy=False), pair_first
+    w = q - qj
+    if planar:
+        a0 = 1.0 / w
+        a1 = -a0
+    else:
+        sj = R2 - np.abs(qj) ** 2
+        a0 = 1.0 / w + np.conj(q) / s0
+        a1 = -1.0 / w + np.conj(qj) / sj
+    Pa = P * a0
+    Pb = P * a1
+    kinetic = len(rows)
+    rows += [w_pot * Fp * Pa, w_pot * Fp * Pb]
+
+    pulled = sp.adjoint(np.vstack(rows))
+    v = pulled[0] * state.dw
+    if not planar:
+        v = v + pulled[1]
+    pair_a, pair_b = np.split(pulled[kinetic:], 2)
+    for ga, gb, sig in zip(pair_a, pair_b, state.sigmas):
+        v = v + ga
+        v = v + sig * gb
+    return np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float, copy=False), (w, a0, a1, Pa, Pb)
 
 
 def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) -> ActionEvaluation:
@@ -307,23 +365,19 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     double-precision FFTs.  precise = True runs the same gradient formula
     on long-double FFTs instead (slower, with a rounding floor far below
     the double-precision gradient's).  Each transform is built once per
-    (K, precise) and cached.
+    (K, precise) and cached, and the node state and value of the latest
+    point are kept, keyed by its coefficient bytes and configuration, so
+    a second call at the same point starts from them.
     """
     c = _coefficients(x, config)
-    state = _NodeState(c, config)
-    sp = state.sp
+    state, value = _state_and_value(c.tobytes(), config)
     nc = c.size
     planar = config.is_planar
 
-    if state.out_of_disk() or state.collided():
+    if value is None:
         grad = np.full(2 * nc, np.nan) if order >= 1 else None
         hess = np.full((2 * nc, 2 * nc), np.nan) if order >= 2 else None
         return ActionEvaluation(math.inf, grad, hess)
-
-    w_kin, w_pot = state.w_kin, state.w_pot
-    value = w_kin * float(np.sum(state.lam * state.uu))
-    for F, _, _ in state.kernels:
-        value += w_pot * float(np.sum(F))
 
     if order < 1:
         return ActionEvaluation(value)
@@ -331,7 +385,7 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
         gradient = _first_order(_NodeState(c, config, precise=True))[0]
         if order < 2:
             return ActionEvaluation(value, gradient)
-    fast_gradient, pair_first = _first_order(state)
+    fast_gradient, (w, a0, a1, Pa, Pb) = _first_order(state)
     if not precise:
         gradient = fast_gradient
     if order < 2:
@@ -340,57 +394,67 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     # Holomorphic-holomorphic block T and Hermitian block Wm; the real
     # Hessian of sum f(y, ybar) with y = E c is assembled from
     #   dx' H dx = 2 Re(dc' T dc) + 2 dc' Wm conj(dc).
-    q, u, uu, lam, dw = state.q, state.u, state.uu, state.lam, state.dw
+    # Every Hankel/Toeplitz source row goes through one stacked transform;
+    # the nc x nc blocks are gathered and added one at a time.
+    sp, w_kin, w_pot = state.sp, state.w_kin, state.w_pot
+    q, qj, u, uu, lam, dw = state.q, state.qj, state.u, state.uu, state.lam, state.dw
+    P, (_, Fp, Fpp) = state.seps_sq, state.kernels
     dwc = np.conj(dw)
     T = np.zeros((nc, nc), dtype=complex)
     Wm = np.zeros((nc, nc), dtype=complex)
 
     # Kinetic second derivatives.
-    Wm += dw[:, None] * sp.toep(w_kin * lam) * dwc[None, :]
+    rows = [w_kin * lam]
     if not planar:
         R2, s0 = state.R2, state.s0
         f_qq = 24.0 * R2 * R2 * uu * np.conj(q) ** 2 / s0 ** 4
         f_qu = 8.0 * R2 * R2 * np.conj(u) * np.conj(q) / s0 ** 3
         f_qqb = 8.0 * R2 * R2 * uu / s0 ** 3 + 24.0 * R2 * R2 * uu * np.abs(q) ** 2 / s0 ** 4
         f_qub = 8.0 * R2 * R2 * u * np.conj(q) / s0 ** 3
-        T += sp.hank(w_kin * f_qq)
-        Hqu = sp.hank(w_kin * f_qu)
+        rows += [w_kin * f_qq, w_kin * f_qu, w_kin * f_qqb, w_kin * f_qub, w_kin * np.conj(f_qub)]
+    kinetic = len(rows)
+
+    # Pair second derivatives, one row per pair in each (n-1, M) array.
+    winv2 = 1.0 / (w * w)
+    if planar:
+        da00 = da11 = -winv2
+        h0 = h1 = 0.0
+    else:
+        sj = R2 - np.abs(qj) ** 2
+        da00 = -winv2 + np.conj(q) ** 2 / (s0 * s0)
+        da11 = -winv2 + np.conj(qj) ** 2 / (sj * sj)
+        h0 = R2 / (s0 * s0)
+        h1 = R2 / (sj * sj)
+    da01 = winv2
+
+    A00 = Fpp * Pa * Pa + Fp * P * (a0 * a0 + da00)
+    A01 = Fpp * Pa * Pb + Fp * P * (a0 * a1 + da01)
+    A11 = Fpp * Pb * Pb + Fp * P * (a1 * a1 + da11)
+    B00 = Fpp * np.abs(Pa) ** 2 + Fp * P * (np.abs(a0) ** 2 + h0)
+    B01 = Fpp * Pa * np.conj(Pb) + Fp * P * (a0 * np.conj(a1))
+    B11 = Fpp * np.abs(Pb) ** 2 + Fp * P * (np.abs(a1) ** 2 + h1)
+    rows += [w_pot * A01, w_pot * A00, w_pot * A11, w_pot * B00, w_pot * B01, w_pot * np.conj(B01), w_pot * B11]
+
+    f = sp.transform(np.vstack(rows))
+    Wm += dw[:, None] * sp.toep(f[0]) * dwc[None, :]
+    if not planar:
+        T += sp.hank(f[1])
+        Hqu = sp.hank(f[2])
         T += Hqu * dw[None, :] + dw[:, None] * Hqu
-        Wm += sp.toep(w_kin * f_qqb)
-        Wm += sp.toep(w_kin * f_qub) * dwc[None, :]
-        Wm += dw[:, None] * sp.toep(w_kin * np.conj(f_qub))
+        Wm += sp.toep(f[3])
+        Wm += sp.toep(f[4]) * dwc[None, :]
+        Wm += dw[:, None] * sp.toep(f[5])
 
-    for P, (_, Fp, Fpp), qj, sig, (w, a0, a1, Pa, Pb) in zip(
-        state.seps_sq, state.kernels, state.qj, state.sigmas, pair_first
-    ):
-        winv2 = 1.0 / (w * w)
-        if planar:
-            da00 = da11 = -winv2
-            h0 = h1 = 0.0
-        else:
-            sj = R2 - np.abs(qj) ** 2
-            da00 = -winv2 + np.conj(q) ** 2 / (s0 * s0)
-            da11 = -winv2 + np.conj(qj) ** 2 / (sj * sj)
-            h0 = R2 / (s0 * s0)
-            h1 = R2 / (sj * sj)
-        da01 = winv2
-
-        A00 = Fpp * Pa * Pa + Fp * P * (a0 * a0 + da00)
-        A01 = Fpp * Pa * Pb + Fp * P * (a0 * a1 + da01)
-        A11 = Fpp * Pb * Pb + Fp * P * (a1 * a1 + da11)
-        B00 = Fpp * np.abs(Pa) ** 2 + Fp * P * (np.abs(a0) ** 2 + h0)
-        B01 = Fpp * Pa * np.conj(Pb) + Fp * P * (a0 * np.conj(a1))
-        B11 = Fpp * np.abs(Pb) ** 2 + Fp * P * (np.abs(a1) ** 2 + h1)
-
+    for f01, f00, f11, g00, g01, g10, g11, sig in zip(*np.split(f[kinetic:], 7), state.sigmas):
         sigc = np.conj(sig)
-        H01 = sp.hank(w_pot * A01)
-        T += sp.hank(w_pot * A00)
+        H01 = sp.hank(f01)
+        T += sp.hank(f00)
         T += H01 * sig[None, :] + sig[:, None] * H01
-        T += sig[:, None] * sp.hank(w_pot * A11) * sig[None, :]
-        Wm += sp.toep(w_pot * B00)
-        Wm += sp.toep(w_pot * B01) * sigc[None, :]
-        Wm += sig[:, None] * sp.toep(w_pot * np.conj(B01))
-        Wm += sig[:, None] * sp.toep(w_pot * B11) * sigc[None, :]
+        T += sig[:, None] * sp.hank(f11) * sig[None, :]
+        Wm += sp.toep(g00)
+        Wm += sp.toep(g01) * sigc[None, :]
+        Wm += sig[:, None] * sp.toep(g10)
+        Wm += sig[:, None] * sp.toep(g11) * sigc[None, :]
 
     # Both blocks are symmetric / Hermitian analytically; enforce exactly.
     T = 0.5 * (T + T.T)

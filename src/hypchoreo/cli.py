@@ -5,8 +5,9 @@ residual triple), sweep (curvature continuation against the flat limit),
 export (orbit samples or coefficient magnitudes as CSV), and search
 (multi-seed random exploration).
 
-Exit codes: 0 success; 2 non-convergence or failed verification;
-3 infeasible seed; 4 unreadable, malformed, or unwritable files.
+Exit codes: 0 success; 2 bad arguments, non-convergence or failed
+verification; 3 infeasible seed; 4 unreadable, malformed, or unwritable
+files.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from .optimizer import (
     Phase1Options,
     Phase2Options,
     SolveFailure,
+    _solve_from_phase1,
     phase1_bfgs,
     random_seed,
     solve,
@@ -75,6 +78,17 @@ def _at_least(minimum: int):
         return value
 
     return integer
+
+
+def _seed_token(text: str) -> str:
+    """argparse type for --seed: a file name, or an integer that is not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        return text
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"an integer seed must be at least 0, got {value}")
+    return text
 
 
 def _format_report(report: SolveReport) -> str:
@@ -176,6 +190,13 @@ def cmd_sweep(args) -> int:
     family = _load_file(args.family)
     K1 = args.K if args.K is not None else (family.config.K + 1) // 2
     K2 = args.K2 if args.K2 is not None else family.config.K
+    if K2 < K1:
+        print(
+            f"hypchoreo sweep: error: --K2 {K2} is below the phase-1 bandwidth {K1} of the members; "
+            "pass a larger --K2 or a smaller --K",
+            file=sys.stderr,
+        )
+        return EXIT_NO_CONVERGENCE
     options2 = Phase2Options(K2=K2)
 
     try:
@@ -240,20 +261,21 @@ def cmd_search(args) -> int:
             seed = random_seed(config, modes=min(args.modes, config.K), rng_seed=args.rng + trial)
         except InfeasibleSeedError:
             continue
+        t0 = time.perf_counter()
         result = phase1_bfgs(pack_vars(seed), config, options1)
         if result.converged:
-            candidates.append((result.value, trial, seed))
+            candidates.append((result.value, trial, result, time.perf_counter() - t0))
 
     candidates.sort(key=lambda item: (item[0], item[1]))
     distinct = []
-    for value, trial, seed in candidates:
-        if all(abs(value - kept) > 1e-6 * max(abs(value), abs(kept)) for kept, _, _ in distinct):
-            distinct.append((value, trial, seed))
+    for value, trial, result, seconds in candidates:
+        if all(abs(value - kept) > 1e-6 * max(abs(value), abs(kept)) for kept, *_ in distinct):
+            distinct.append((value, trial, result, seconds))
 
     solved = []
-    for value, trial, seed in distinct:
+    for _, trial, result, seconds in distinct:
         try:
-            choreo = solve(config, seed, options1, options2)
+            choreo = _solve_from_phase1(config, result, seconds, options2)
         except (SolveFailure, InfeasibleSeedError):
             continue
         solved.append((choreo.action, trial, choreo))
@@ -293,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="two-phase minimization from a seed")
     add_config_flags(p_solve)
-    p_solve.add_argument("--seed", required=True, help="integer (random seed) or solution/seed file; bundled:<name> for shipped seeds")
+    p_solve.add_argument("--seed", type=_seed_token, required=True, help="integer (random seed) or solution/seed file; bundled:<name> for shipped seeds")
     p_solve.add_argument("--modes", type=_at_least(1), default=5, help="bandwidth of integer-seeded random paths")
     p_solve.add_argument("--out", default=None, help="write the solution file here")
     p_solve.set_defaults(handler=cmd_solve)
@@ -322,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="random multi-seed exploration")
     add_config_flags(p_search)
-    p_search.add_argument("--trials", type=int, default=20)
-    p_search.add_argument("--rng", type=int, default=0, help="base seed; trial i uses rng + i")
+    p_search.add_argument("--trials", type=_at_least(1), default=20)
+    p_search.add_argument("--rng", type=_at_least(0), default=0, help="base seed; trial i uses rng + i")
     p_search.add_argument("--modes", type=_at_least(1), default=5)
     p_search.add_argument("--out-dir", default=".", help="directory for search_NNN.json files")
     p_search.set_defaults(handler=cmd_search)

@@ -375,8 +375,8 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
             continue
         c = c * (0.6 * scale_ref / peak)
         path = TrigPath(c)
-        seps_sq = _separations_squared(path.eval(t), [path.eval(t + tau) for tau in shifts], R2)
-        if min(float(np.min(p)) for p in seps_sq) >= (0.05 * scale_ref) ** 2:
+        seps_sq = _separations_squared(path.eval(t), np.array([path.eval(t + tau) for tau in shifts]), R2)
+        if float(np.min(seps_sq)) >= (0.05 * scale_ref) ** 2:
             return path.pad(config.K)
     raise InfeasibleSeedError("no feasible random seed found in 100 draws")
 
@@ -420,8 +420,18 @@ def solve(
 
     t0 = time.perf_counter()
     result1 = phase1_bfgs(x0, config, opts1)
+    return _solve_from_phase1(config, result1, time.perf_counter() - t0, opts2)
+
+
+def _solve_from_phase1(
+    config: Configuration, result1: PhaseResult, seconds1: float, opts2: Phase2Options
+) -> Choreography:
+    """The rest of `solve` after a Phase 1 run at config.K that took seconds1:
+    its record, then Phase 2 at opts2.K2 (default 2 K).  Raises
+    SolveFailure, with the partial result attached, when a phase failed."""
+    K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
     path1 = unpack_vars(result1.x)
-    record1 = _phase_record(result1, path1, config, time.perf_counter() - t0)
+    record1 = _phase_record(result1, path1, config, seconds1)
     if result1.failed and not result1.converged:
         partial = Choreography(config, path1, SolveReport(phase1=record1))
         raise SolveFailure(f"phase 1 failed: {result1.message}", partial)

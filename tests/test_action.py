@@ -1,6 +1,7 @@
 """Discrete action: closed-form oracles, derivatives, symmetries, limits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,76 @@ class TestDerivatives:
             assert got.dtype == np.clongdouble
             error = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
             assert error <= 20 * float(np.finfo(np.longdouble).eps)
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("precise", [False, True], ids=["float64", "long_double"])
+    def test_stacked_transforms_match_rows_bitwise(self, precise):
+        sp = _transform(27, precise)
+        rng = np.random.default_rng(49)
+
+        def random_complex(shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(
+                np.result_type(sp.real, 1j)
+            )
+
+        c, d = random_complex((4, sp.k.size)), random_complex((4, sp.M))
+        for transform, rows in ((sp.values, c), (sp.adjoint, d)):
+            out = transform(rows)
+            assert out.dtype == np.result_type(sp.real, 1j)
+            # Equal values; tobytes would also compare long double's padding bytes.
+            for row, got in zip(rows, out):
+                assert np.array_equal(transform(row), got)
+
+    def test_one_ifft_per_stage(self, monkeypatch):
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        config = Configuration(n=5, R=1.2, K=10)
+        x = feasible_point(config, np.random.default_rng(50))
+        evaluate(x, config, order=0)
+        assert len(calls) == 1
+        # The gradient at the same point reuses the node values.
+        evaluate(x, config, order=1)
+        assert len(calls) == 2
+        evaluate(x, config, order=2)
+        assert len(calls) == 4
+
+    @staticmethod
+    def _fresh(x, config, order):
+        """An evaluation that cannot reuse a kept state: another point comes between."""
+        other = Configuration(n=2, R=math.inf, K=1)
+        evaluate(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), other, order=0)
+        return evaluate(x.copy(), config, order=order)
+
+    def test_reused_state_follows_in_place_edit(self):
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(51))
+        before = evaluate(x, config, order=0).value
+        x[3] += 1e-3
+        got = evaluate(x, config, order=2)
+        want = self._fresh(x, config, 2)
+        assert got.value != before
+        assert got.value == want.value
+        assert np.array_equal(got.gradient, want.gradient)
+        assert np.array_equal(got.hessian, want.hessian)
+
+    @pytest.mark.parametrize("change", [{"R": 1.7}, {"omega": 0.4}], ids=["R", "omega"])
+    def test_reused_state_follows_configuration(self, change):
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(52))
+        before = evaluate(x, config, order=0).value
+        other = replace(config, **change)
+        got = evaluate(x, other, order=1)
+        want = self._fresh(x, other, 1)
+        assert got.value != before
+        assert got.value == want.value
+        assert np.array_equal(got.gradient, want.gradient)
 
 
 class TestSymmetries:

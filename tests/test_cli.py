@@ -161,6 +161,13 @@ class TestSweep:
         code = main(["sweep", "--family", str(circle_solution), "--R-list", radii])
         assert code == 4
 
+    def test_K2_below_file_bandwidth_exit_2(self, capsys):
+        # Without --K the members' phase-1 bandwidth comes from the file.
+        code = main(["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K2", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -171,8 +178,14 @@ class TestSweep:
         ["solve", "--n", "2", "--R", "20", "--K", "4", "--seed", "1", "--modes", "0"],
         ["search", "--n", "2", "--R", "1.5", "--K", "0"],
         ["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K", "0"],
+        ["search", "--n", "2", "--R", "1.5", "--K", "4", "--rng", "-1"],
+        ["search", "--n", "2", "--R", "1.5", "--K", "4", "--trials", "-3"],
+        ["solve", "--n", "2", "--R", "20", "--K", "4", "--seed", "-2"],
     ],
-    ids=["samples_0", "K2_below_K", "n_1", "modes_0", "search_K_0", "sweep_K_0"],
+    ids=[
+        "samples_0", "K2_below_K", "n_1", "modes_0", "search_K_0", "sweep_K_0",
+        "search_rng_negative", "search_trials_negative", "seed_negative",
+    ],
 )
 def test_bad_integer_argument_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
