@@ -10,8 +10,22 @@ origin, the action over one period on the disk of curvature radius R is
 where lam(z) = 4R^4/(R^2 - |z|^2)^2 is the conformal factor and D_j(t) is
 the chordal separation between q(t) and q_j(t) = q(t + 2*pi*j/n).  Both
 terms are positive: the second is the (negated) cotangent pair potential,
-which is attractive and negative.  The flat variant (R = inf) replaces
-lam by 1 and the pair integrand by the Newtonian 1/|q - q_j|.
+which is attractive and negative.  The flat problem (R = inf) has lam = 1
+and the Newtonian pair integrand 1/|q - q_j|.
+
+Both are one action in the curvature eps = 1/R^2 (0 for R = inf) and the
+coordinate p = sigma q, with sigma = 2 on the disk and 1 on the plane
+(Configuration.sigma).  With a = 1 - eps |p|^2/4 and the squared
+separation d_j^2 = |p - p_j|^2 / (a a_j), which equals D_j^2 on the disk,
+
+    A = (n/2) Int |p' + i w p|^2 / a^2 dt + (n/2) sum_j Int F(d_j^2) dt,
+    F(P) = (1 + eps P/2) / sqrt(G),   G = P (1 + eps P/4).
+
+At eps = 0 this is the flat Newtonian action, so the disk action of q
+tends to the flat action of 2q as R grows, at the rate 1/R^2.  No power
+of R appears, so the evaluation stays finite for any R.  evaluate maps
+the packed coefficients of q to those of p at entry, and the derivatives
+back at exit (gradient times sigma, Hessian times sigma^2, both exact).
 
 Integrals are discretized by the trapezoidal rule on M = 2(2K+1) + 1
 equispaced nodes, twice the coefficient count, which keeps aliasing of
@@ -25,8 +39,11 @@ First derivatives pull back through E^T; second derivatives need the node
 -diagonal forms E^T diag(d) E and E^T diag(d) conj(E), which on a uniform
 grid are a Hankel and a Toeplitz matrix read off the FFT of d.  Each
 Hessian therefore costs O(n (M log M + K^2)) instead of O(n K^2 M).
+Only the symmetric part of the holomorphic block and the Hermitian part
+of the mixed block count, so each mirrored pair of terms is added once,
+doubled.
 Each stage stacks its rows into one inverse FFT along the last axis: the
-node values of q, its velocity and the n-1 shifted copies; the kinetic
+node values of p, its velocity and the n-1 shifted copies; the kinetic
 and pair rows of the gradient pull-back; the Hankel and Toeplitz sources
 of the Hessian.  An evaluation thus makes one FFT call per stage for any
 n, and every row keeps the digits it would get alone.  evaluate keeps
@@ -105,6 +122,12 @@ class Configuration:
     @property
     def is_planar(self) -> bool:
         return math.isinf(self.R)
+
+    @property
+    def sigma(self) -> float:
+        """Scale of the coordinate p = sigma q of the action: 2 on the disk,
+        1 on the plane, so that the disk orbit tends to the flat one halved."""
+        return 1.0 if self.is_planar else 2.0
 
     @property
     def n_coefficients(self) -> int:
@@ -196,68 +219,57 @@ def _transform(K: int, precise: bool) -> _Spectral:
 
 
 def _coefficients(x, config: Configuration) -> np.ndarray:
+    """Coefficients of p = sigma q from the packed coefficients of q."""
     x = np.asarray(x, dtype=float)
     if x.size != config.n_vars:
         raise ValueError(f"expected {config.n_vars} variables, got {x.size}")
     half = x.size // 2
-    return x[:half] + 1j * x[half:]
+    return config.sigma * (x[:half] + 1j * x[half:])
 
 
-def _separations_squared(q: np.ndarray, shifted: np.ndarray, R2=None) -> np.ndarray:
-    """Squared chordal separations 4R^4 |q - q_j|^2 / (s0 s_j) from each
-    shifted copy (one row each), s = R^2 - |.|^2; squared Euclidean ones
-    when R2 is None."""
-    if R2 is None:
-        return np.abs(q - shifted) ** 2
-    s0 = R2 - np.abs(q) ** 2
-    return 4.0 * R2 * R2 * np.abs(q - shifted) ** 2 / (s0 * (R2 - np.abs(shifted) ** 2))
+def _scale(z: np.ndarray, eps) -> np.ndarray:
+    """a = 1 - eps |z|^2 / 4, the disk's conformal scale at z (1 on the plane)."""
+    return 1.0 - 0.25 * eps * np.abs(z) ** 2
+
+
+def _separations_squared(z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Squared separations d^2 = |z_0 - z_j|^2 / (a_0 a_j) of row 0 of z from
+    each later row, given the scales a = _scale(z, eps): chordal on the
+    disk of curvature eps = 1/R^2, Euclidean at eps = 0."""
+    return np.abs(z[0] - z[1:]) ** 2 / (a[0] * a[1:])
 
 
 class _NodeState:
-    """Node values of the path, its shifted copies, and the rotating velocity,
-    in the dtype of the transform (long double when precise).
+    """Node values of p, its shifted copies, and the rotating velocity, in
+    the dtype of the transform (long double when precise).
 
-    q, u and the n-1 shifted copies qj come from one stacked transform;
-    qj and everything derived per pair (seps_sq, kernels) are (n-1, M)
-    arrays with one row per shift j = 1..n-1.
+    p, its n-1 shifted copies and u come from one stacked transform.  z
+    holds p (row 0) and the copies pj (rows 1..n-1); pj and everything
+    derived per pair (seps_sq, kernels) are (n-1, M) arrays with one row
+    per shift j = 1..n-1.
     """
 
-    def __init__(self, c: np.ndarray, config: Configuration, precise: bool = False):
-        K = (c.size - 1) // 2
+    def __init__(self, p: np.ndarray, config: Configuration, precise: bool = False):
+        K = (p.size - 1) // 2
         self.sp = sp = _transform(K, precise)
         self.config = config
+        self.eps = (1 / sp.real(config.R)) ** 2
         self.dw = 1j * (sp.k + config.omega)
         self.sigmas = sp.shift_phases(config.n)
-        nodes = sp.values(np.vstack((c, self.dw * c, self.sigmas * c)))
-        self.q, self.u, self.qj = nodes[0], nodes[1], nodes[2:]
+        nodes = sp.values(np.vstack((p, self.sigmas * p, self.dw * p)))
+        self.z, self.u = nodes[:-1], nodes[-1]
+        self.p, self.pj = self.z[0], self.z[1:]
         self.uu = np.abs(self.u) ** 2
-        # Trapezoid weights of the kinetic and the pair integrals.
-        self.w_kin = 0.5 * config.n * (2.0 * sp.pi / sp.M)
-        if config.is_planar:
-            self.R2 = None
-            self.w_pot = self.w_kin
-        else:
-            R = sp.real(config.R)
-            self.R2 = R * R
-            self.s0 = self.R2 - np.abs(self.q) ** 2
-            self.w_pot = self.w_kin / R
-
-    @functools.cached_property
-    def lam(self) -> np.ndarray:
-        """Conformal factor 4R^4/s0^2 at the nodes (ones when planar)."""
-        if self.R2 is None:
-            return np.ones(self.sp.M, dtype=self.sp.real)
-        return 4.0 * self.R2 * self.R2 / (self.s0 * self.s0)
+        # Scale a of every row of z, conformal factor 1/a^2 at p, and the
+        # squared chordal (disk) or Euclidean (plane) pair separations.
+        self.a = _scale(self.z, self.eps)
+        self.lam = 1.0 / (self.a[0] * self.a[0])
+        self.seps_sq = _separations_squared(self.z, self.a)
+        # Trapezoid weight of every integral.
+        self.w = 0.5 * config.n * (2.0 * sp.pi / sp.M)
 
     def out_of_disk(self) -> bool:
-        if self.config.is_planar:
-            return False
-        return bool(np.max(np.abs(self.q)) >= self.config.R * (1.0 - DISK_MARGIN))
-
-    @functools.cached_property
-    def seps_sq(self) -> np.ndarray:
-        """Squared chordal (hyperbolic) or Euclidean (planar) separations."""
-        return _separations_squared(self.q, self.qj, self.R2)
+        return bool(np.max(np.abs(self.p)) * np.sqrt(self.eps) / 2 >= 1.0 - DISK_MARGIN)
 
     def collided(self) -> bool:
         # Row by row, so that a NaN row cannot mask a collided one.
@@ -266,22 +278,22 @@ class _NodeState:
     @functools.cached_property
     def kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(F, F', F'') of every pair; only defined once no pair has collided."""
-        return _pair_kernel(self.seps_sq, self.R2, self.config.is_planar)
+        return _pair_kernel(self.seps_sq, self.eps)
 
     def value(self) -> float | None:
         """The action; None when a node leaves the disk or a pair collides."""
         if self.out_of_disk() or self.collided():
             return None
-        value = self.w_kin * float(np.sum(self.lam * self.uu))
+        value = self.w * float(np.sum(self.lam * self.uu))
         for pair_sum in np.sum(self.kernels[0], axis=-1):
-            value += self.w_pot * float(pair_sum)
+            value += self.w * float(pair_sum)
         return value
 
 
 @functools.lru_cache(maxsize=1)
 def _state_and_value(data: bytes, config: Configuration) -> tuple[_NodeState, float | None]:
     """Float64 node state and action (None if infeasible) at the
-    coefficients with these bytes.
+    coefficients of p with these bytes.
 
     Keeping the latest one lets a gradient or Hessian request right after
     a value request at the same point (BFGS's fun then grad, Newton's
@@ -291,68 +303,55 @@ def _state_and_value(data: bytes, config: Configuration) -> tuple[_NodeState, fl
     return state, state.value()
 
 
-def _pair_kernel(P: np.ndarray, R2, planar: bool):
-    """Pair integrand F and derivatives as functions of the squared separation.
+def _pair_kernel(P: np.ndarray, eps):
+    """Pair integrand F and its derivatives as functions of the squared
+    separation P, at curvature eps:
 
-    Hyperbolic: F(P) = (2R^2 + P)/sqrt(P (4R^2 + P)); its derivative
-    collapses to F' = -4R^4 (P^2 + 4R^2 P)^(-3/2).  Planar: F(P) = P^(-1/2).
+        F = (1 + eps P/2) G^(-1/2),  F' = -G^(-3/2) / 2,
+        F'' = (3/4) (1 + eps P/2) G^(-5/2),  with G = P (1 + eps P/4);
+
+    at eps = 0 these are the Newtonian P^(-1/2), -P^(-3/2)/2, (3/4) P^(-5/2).
     """
-    if planar:
-        F = P ** -0.5
-        Fp = -0.5 * P ** -1.5
-        Fpp = 0.75 * P ** -2.5
-    else:
-        G = P * (P + 4.0 * R2)
-        F = (2.0 * R2 + P) / np.sqrt(G)
-        Fp = -4.0 * R2 * R2 * G ** -1.5
-        Fpp = 12.0 * R2 * R2 * (P + 2.0 * R2) * G ** -2.5
-    return F, Fp, Fpp
+    b = 1.0 + 0.5 * eps * P
+    G = P * (1.0 + 0.25 * eps * P)
+    return b * G ** -0.5, -0.5 * G ** -1.5, 0.75 * b * G ** -2.5
 
 
 def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
-    """Packed gradient, pulled back through the state's transform, and the
-    per-pair first-order terms (w, a0, a1, P a0, P a1) the Hessian reuses,
-    each an (n-1, M) array.
+    """Gradient in the packed coefficients of p, pulled back through the
+    state's transform, and the first-order terms the Hessian reuses:
+    kappa = d log(1/a) / dz = eps conj(z) / (4a) by row of z, and per pair
+    p - p_j, a0, a1, P a0 and P a1, each an (n-1, M) array.
 
     The kinetic rows and the two rows of every pair go through one stacked
     adjoint; their pull-backs are summed in a fixed order: kinetic, then
     pair by pair.
     """
-    sp, planar = state.sp, state.config.is_planar
-    q, u, qj, P, w_kin, w_pot = state.q, state.u, state.qj, state.seps_sq, state.w_kin, state.w_pot
+    sp, w, lam, P = state.sp, state.w, state.lam, state.seps_sq
+    kappa = 0.25 * state.eps * np.conj(state.z) / state.a
     Fp = state.kernels[1]
 
-    # Wirtinger derivatives of the kinetic integrand lam(q) |u|^2.
-    rows = [w_kin * (state.lam * np.conj(u))]
-    if not planar:
-        R2, s0 = state.R2, state.s0
-        g_q = 8.0 * R2 * R2 * state.uu * np.conj(q) / s0 ** 3
-        rows.append(w_kin * g_q)
+    # Wirtinger derivatives of the kinetic integrand lam(p) |u|^2, with
+    # d lam / dp = 2 lam kappa.
+    rows = [w * (lam * np.conj(state.u)), w * (2.0 * lam * kappa[0] * state.uu)]
 
-    # Pair terms: P is a rational function of z0 = q(t) and z1 = q_j(t);
+    # Pair terms: P is a function of z0 = p(t) and z1 = p_j(t);
     # alpha_a = d log P / d z_a.
-    w = q - qj
-    if planar:
-        a0 = 1.0 / w
-        a1 = -a0
-    else:
-        sj = R2 - np.abs(qj) ** 2
-        a0 = 1.0 / w + np.conj(q) / s0
-        a1 = -1.0 / w + np.conj(qj) / sj
+    dp = state.p - state.pj
+    a0 = 1.0 / dp + kappa[0]
+    a1 = -1.0 / dp + kappa[1:]
     Pa = P * a0
     Pb = P * a1
-    kinetic = len(rows)
-    rows += [w_pot * Fp * Pa, w_pot * Fp * Pb]
+    rows += [w * Fp * Pa, w * Fp * Pb]
 
     pulled = sp.adjoint(np.vstack(rows))
-    v = pulled[0] * state.dw
-    if not planar:
-        v = v + pulled[1]
-    pair_a, pair_b = np.split(pulled[kinetic:], 2)
+    v = pulled[0] * state.dw + pulled[1]
+    pair_a, pair_b = np.split(pulled[2:], 2)
     for ga, gb, sig in zip(pair_a, pair_b, state.sigmas):
         v = v + ga
         v = v + sig * gb
-    return np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float, copy=False), (w, a0, a1, Pa, Pb)
+    gradient = np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float, copy=False)
+    return gradient, (kappa, dp, a0, a1, Pa, Pb)
 
 
 def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) -> ActionEvaluation:
@@ -369,10 +368,10 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     point are kept, keyed by its coefficient bytes and configuration, so
     a second call at the same point starts from them.
     """
-    c = _coefficients(x, config)
-    state, value = _state_and_value(c.tobytes(), config)
-    nc = c.size
-    planar = config.is_planar
+    p = _coefficients(x, config)
+    state, value = _state_and_value(p.tobytes(), config)
+    nc = p.size
+    sigma = config.sigma
 
     if value is None:
         grad = np.full(2 * nc, np.nan) if order >= 1 else None
@@ -382,87 +381,65 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     if order < 1:
         return ActionEvaluation(value)
     if precise:
-        gradient = _first_order(_NodeState(c, config, precise=True))[0]
+        gradient = sigma * _first_order(_NodeState(p, config, precise=True))[0]
         if order < 2:
             return ActionEvaluation(value, gradient)
-    fast_gradient, (w, a0, a1, Pa, Pb) = _first_order(state)
+    fast_gradient, (kappa, dp, a0, a1, Pa, Pb) = _first_order(state)
     if not precise:
-        gradient = fast_gradient
+        gradient = sigma * fast_gradient
     if order < 2:
         return ActionEvaluation(value, gradient)
 
     # Holomorphic-holomorphic block T and Hermitian block Wm; the real
     # Hessian of sum f(y, ybar) with y = E c is assembled from
     #   dx' H dx = 2 Re(dc' T dc) + 2 dc' Wm conj(dc).
-    # Every Hankel/Toeplitz source row goes through one stacked transform;
-    # the nc x nc blocks are gathered and added one at a time.
-    sp, w_kin, w_pot = state.sp, state.w_kin, state.w_pot
-    q, qj, u, uu, lam, dw = state.q, state.qj, state.u, state.uu, state.lam, state.dw
+    # Only the symmetric part of T and the Hermitian part of Wm count, so
+    # a term X + X' is added as 2X.  Every Hankel/Toeplitz source row goes
+    # through one stacked transform; the nc x nc blocks are gathered and
+    # added one at a time.
+    sp, w, dw, uu, lam = state.sp, state.w, state.dw, state.uu, state.lam
+    h = 0.25 * state.eps / (state.a * state.a)  # d kappa / dzbar, by row of z
     P, (_, Fp, Fpp) = state.seps_sq, state.kernels
     dwc = np.conj(dw)
-    T = np.zeros((nc, nc), dtype=complex)
-    Wm = np.zeros((nc, nc), dtype=complex)
 
-    # Kinetic second derivatives.
-    rows = [w_kin * lam]
-    if not planar:
-        R2, s0 = state.R2, state.s0
-        f_qq = 24.0 * R2 * R2 * uu * np.conj(q) ** 2 / s0 ** 4
-        f_qu = 8.0 * R2 * R2 * np.conj(u) * np.conj(q) / s0 ** 3
-        f_qqb = 8.0 * R2 * R2 * uu / s0 ** 3 + 24.0 * R2 * R2 * uu * np.abs(q) ** 2 / s0 ** 4
-        f_qub = 8.0 * R2 * R2 * u * np.conj(q) / s0 ** 3
-        rows += [w_kin * f_qq, w_kin * f_qu, w_kin * f_qqb, w_kin * f_qub, w_kin * np.conj(f_qub)]
-    kinetic = len(rows)
+    # Kinetic second derivatives of lam |u|^2 in p and u, from d lam / dp =
+    # m = 2 lam kappa, d kappa / dp = kappa^2 and d kappa / dpbar = h.
+    k0 = kappa[0]
+    m = 2.0 * lam * k0
+    f_ppb = (2.0 * np.conj(k0) * m + 2.0 * lam * h[0]) * uu
+    rows = [w * f for f in (lam, 3.0 * k0 * m * uu, m * np.conj(state.u), f_ppb, m * state.u)]
 
     # Pair second derivatives, one row per pair in each (n-1, M) array.
-    winv2 = 1.0 / (w * w)
-    if planar:
-        da00 = da11 = -winv2
-        h0 = h1 = 0.0
-    else:
-        sj = R2 - np.abs(qj) ** 2
-        da00 = -winv2 + np.conj(q) ** 2 / (s0 * s0)
-        da11 = -winv2 + np.conj(qj) ** 2 / (sj * sj)
-        h0 = R2 / (s0 * s0)
-        h1 = R2 / (sj * sj)
-    da01 = winv2
-
-    A00 = Fpp * Pa * Pa + Fp * P * (a0 * a0 + da00)
-    A01 = Fpp * Pa * Pb + Fp * P * (a0 * a1 + da01)
-    A11 = Fpp * Pb * Pb + Fp * P * (a1 * a1 + da11)
-    B00 = Fpp * np.abs(Pa) ** 2 + Fp * P * (np.abs(a0) ** 2 + h0)
+    winv2 = 1.0 / (dp * dp)
+    A00 = Fpp * Pa * Pa + Fp * P * (a0 * a0 - winv2 + k0 * k0)
+    A01 = Fpp * Pa * Pb + Fp * P * (a0 * a1 + winv2)
+    A11 = Fpp * Pb * Pb + Fp * P * (a1 * a1 - winv2 + kappa[1:] * kappa[1:])
+    B00 = Fpp * np.abs(Pa) ** 2 + Fp * P * (np.abs(a0) ** 2 + h[0])
     B01 = Fpp * Pa * np.conj(Pb) + Fp * P * (a0 * np.conj(a1))
-    B11 = Fpp * np.abs(Pb) ** 2 + Fp * P * (np.abs(a1) ** 2 + h1)
-    rows += [w_pot * A01, w_pot * A00, w_pot * A11, w_pot * B00, w_pot * B01, w_pot * np.conj(B01), w_pot * B11]
+    B11 = Fpp * np.abs(Pb) ** 2 + Fp * P * (np.abs(a1) ** 2 + h[1:])
+    rows += [w * A01, w * A00, w * A11, w * B00, w * B01, w * B11]
 
     f = sp.transform(np.vstack(rows))
-    Wm += dw[:, None] * sp.toep(f[0]) * dwc[None, :]
-    if not planar:
-        T += sp.hank(f[1])
-        Hqu = sp.hank(f[2])
-        T += Hqu * dw[None, :] + dw[:, None] * Hqu
-        Wm += sp.toep(f[3])
-        Wm += sp.toep(f[4]) * dwc[None, :]
-        Wm += dw[:, None] * sp.toep(f[5])
+    Wm = dw[:, None] * sp.toep(f[0]) * dwc[None, :]
+    T = sp.hank(f[1]) + 2.0 * sp.hank(f[2]) * dw[None, :]
+    Wm += sp.toep(f[3])
+    Wm += 2.0 * sp.toep(f[4]) * dwc[None, :]
 
-    for f01, f00, f11, g00, g01, g10, g11, sig in zip(*np.split(f[kinetic:], 7), state.sigmas):
+    for f01, f00, f11, g00, g01, g11, sig in zip(*np.split(f[5:], 6), state.sigmas):
         sigc = np.conj(sig)
-        H01 = sp.hank(f01)
         T += sp.hank(f00)
-        T += H01 * sig[None, :] + sig[:, None] * H01
+        T += 2.0 * sp.hank(f01) * sig[None, :]
         T += sig[:, None] * sp.hank(f11) * sig[None, :]
         Wm += sp.toep(g00)
-        Wm += sp.toep(g01) * sigc[None, :]
-        Wm += sig[:, None] * sp.toep(g10)
+        Wm += 2.0 * sp.toep(g01) * sigc[None, :]
         Wm += sig[:, None] * sp.toep(g11) * sigc[None, :]
 
-    # Both blocks are symmetric / Hermitian analytically; enforce exactly.
     T = 0.5 * (T + T.T)
     Wm = 0.5 * (Wm + Wm.conj().T)
     Haa = 2.0 * (T.real + Wm.real)
     Hbb = 2.0 * (Wm.real - T.real)
     Hab = 2.0 * (Wm.imag - T.imag)
-    hessian = np.block([[Haa, Hab], [Hab.T, Hbb]])
+    hessian = sigma * sigma * np.block([[Haa, Hab], [Hab.T, Hbb]])
     return ActionEvaluation(value, gradient, hessian)
 
 
@@ -493,7 +470,7 @@ def pairwise_separations(path: TrigPath, config: Configuration) -> list[NodeValu
     CollisionError
         If some pair separation is at or below the collision threshold.
     """
-    state = _NodeState(path.coeffs, config)
+    state = _NodeState(config.sigma * path.coeffs, config)
     if state.out_of_disk():
         from .geometry import OutOfDiskError
 

@@ -204,7 +204,7 @@ def cmd_sweep(args) -> int:
             planar_start = family
         else:
             planar_config = replace(family.config, R=math.inf, K=K1)
-            planar_seed = _fit_bandwidth(TrigPath(family.path.coeffs * 2.0), K1)
+            planar_seed = _fit_bandwidth(TrigPath(family.path.coeffs * family.config.sigma), K1)
             planar_start = solve_planar(planar_config, planar_seed, Phase1Options(), options2)
         family_config = replace(family.config, R=radii[0], K=K1)
         result = continue_in_R(family_config, radii, planar_start, Phase1Options(), options2)

@@ -1,14 +1,15 @@
 """Curvature sweeps: families of orbits followed from the flat limit inward.
 
 As the curvature radius R grows, orbits on the disk shrink toward the
-center and, once doubled, converge to flat-space orbits at a rate
-proportional to 1/R^2.  Sweeps exploit this: the flat solution halved
-seeds the largest-R solve, and each converged member seeds the next,
-which keeps the whole family on one solution branch and preserves its
-rotation and phase gauge along the way.
+center and, once scaled by sigma (Configuration.sigma: 2 on the disk, 1
+on the plane; the action's coordinate is p = sigma q), converge to
+flat-space orbits at a rate proportional to 1/R^2.  Sweeps exploit this:
+the flat solution divided by sigma seeds the largest-R solve, and each
+converged member seeds the next, which keeps the whole family on one
+solution branch and preserves its rotation and phase gauge along the way.
 
 The distance between a disk orbit and its flat counterpart is the
-infinity-norm of 2 q_R(t) - q_flat(t) on a dense time grid, at the
+infinity-norm of sigma q_R(t) - q_flat(t) on a dense time grid, at the
 least-squares gauge: the time shift and rotation that minimize the
 2-norm of the coefficient difference.  Unlike the kinked sup norm, that
 objective is smooth and its optimum follows a gauge motion of either
@@ -108,28 +109,27 @@ def _fit_bandwidth(path: TrigPath, K: int) -> TrigPath:
 def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
     """Infinity-norm distance between a disk orbit and its flat limit.
 
-    Computes max_t |2 e^{i theta} q_R(t + s) - q_flat(t)| over a 10x
-    oversampled grid, with the shift s and rotation theta that minimize
-    the 2-norm of the coefficient difference (see the module docstring).
-    The doubling applies only to genuinely hyperbolic input; comparing
-    two flat solutions uses factor 1 (so a solution against itself
-    gives 0).
+    Computes max_t |sigma e^{i theta} q_R(t + s) - q_flat(t)| over a 10x
+    oversampled grid, with sigma = hyperbolic.config.sigma and the shift
+    s and rotation theta that minimize the 2-norm of the coefficient
+    difference (see the module docstring).  Two flat solutions have
+    sigma = 1, so a solution against itself gives 0.
     """
     if hyperbolic.config.n != planar.config.n:
         raise ValueError("families have different body counts")
-    factor = 1.0 if hyperbolic.config.is_planar else 2.0
+    sigma = hyperbolic.config.sigma
     count = 10 * max(hyperbolic.path.coeffs.size, planar.path.coeffs.size)
     K_common = max(hyperbolic.path.K, planar.path.K)
     reference = planar.path.pad(K_common).coeffs
     moving = hyperbolic.path.pad(K_common)
     wavenumbers = moving.wavenumbers
 
-    # ||f e^{i theta} c e^{iks} - p||^2 = const - 2 Re(e^{i theta} S(s)) with
-    # the overlap S(s) = sum_k f c_k conj(p_k) e^{iks}, so theta = -arg S(s)
+    # ||sigma e^{i theta} c e^{iks} - p||^2 = const - 2 Re(e^{i theta} S(s))
+    # with the overlap S(s) = sum_k sigma c_k conj(p_k) e^{iks}, so theta = -arg S(s)
     # and s maximizes |S(s)|: take the best node of a 4x oversampled grid,
     # then Newton steps on |S|^2, each clipped to half a grid spacing.  A
     # curvature that is not negative means |S| is flat there (a circle).
-    overlap = TrigPath(factor * moving.coeffs * np.conj(reference))
+    overlap = TrigPath(sigma * moving.coeffs * np.conj(reference))
     grid = 4 * overlap.coeffs.size
     s = 2.0 * np.pi * int(np.argmax(np.abs(overlap.at_nodes(grid).values))) / grid
     for _ in range(8):
@@ -149,7 +149,7 @@ def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
     # noise floor of eps * |orbit| on every evaluation.
     arg = np.longdouble(theta) + wavenumbers * np.longdouble(s)
     phase = np.cos(arg) + 1j * np.sin(arg)
-    d = np.clongdouble(factor) * phase * moving.coeffs.astype(np.clongdouble)
+    d = np.clongdouble(sigma) * phase * moving.coeffs.astype(np.clongdouble)
     d = (d - reference.astype(np.clongdouble)).astype(complex)
     return float(np.max(np.abs(TrigPath(d).at_nodes(count).values)))
 
@@ -164,10 +164,10 @@ def continue_in_R(
 ) -> ContinuationResult:
     """Warm-started sweep over descending curvature radii.
 
-    The first (largest) R is seeded by half the flat solution; each later
-    R by the previous member.  A member must both solve and pass
-    verify_all; the sweep stops at the first failure and returns the
-    prefix with failed_at set.
+    The first (largest) R is seeded by the flat solution divided by the
+    disk's sigma; each later R by the previous member.  A member must both
+    solve and pass verify_all; the sweep stops at the first failure and
+    returns the prefix with failed_at set.
     """
     radii = [float(R) for R in R_list]
     if not radii:
@@ -180,7 +180,8 @@ def continue_in_R(
         raise ValueError("planar_start must be a flat solution")
 
     reference = center_planar(planar_start)
-    seed = _fit_bandwidth(TrigPath(reference.path.coeffs * 0.5), family_config.K)
+    sigma = replace(family_config, R=radii[0]).sigma
+    seed = _fit_bandwidth(TrigPath(reference.path.coeffs / sigma), family_config.K)
     members: list[FamilyMember] = []
     for R in radii:
         config = replace(family_config, R=R)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import Configuration, _separations_squared, action_value, evaluate
+from .action import Configuration, _scale, _separations_squared, action_value, evaluate
 from .trigpath import TrigPath, nodes, pack_vars, unpack_vars
 from .verify import PhaseRecord, SolveReport, coefficient_decay, path_residual
 
@@ -157,9 +157,13 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     """Dense inverse-BFGS with Armijo backtracking.
 
     fun may return +inf to mark infeasible points; such trial steps are
-    backtracked past.  The inverse Hessian approximation is rescaled to
-    (s.y / y.y) I after the first accepted step and updates are skipped
-    when the curvature s.y is too small to be trustworthy.
+    backtracked past.  Where both the decrease Armijo asks for and the
+    change of fun lie below fun's rounding resolution, a trial is accepted
+    when its slope along the step shows the quadratic model's sufficient
+    decrease, so the rounding of fun does not steer the endgame.  The
+    inverse Hessian approximation is rescaled to (s.y / y.y) I after the
+    first accepted step and updates are skipped when the curvature s.y is
+    too small to be trustworthy.
     """
     opts = options if options is not None else Phase1Options()
     x = np.array(x0, dtype=float)
@@ -192,15 +196,27 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
 
         step = 1.0
         accepted = False
+        g_new = None
+        resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(f))
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + step * p
             f_new = float(fun(x_new))
             if math.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * step * slope:
                 accepted = True
                 break
+            if abs(f_new - f) <= resolution and _ARMIJO_C1 * step * abs(slope) <= resolution:
+                # fun cannot tell the trial from x, so a rounding error
+                # would decide the test above: test the slope at the trial
+                # instead, which is the Armijo test of the quadratic model
+                # (Hager and Zhang's approximate Wolfe condition).
+                g_new = np.asarray(grad(x_new), dtype=float)
+                if float(g_new @ p) <= (2.0 * _ARMIJO_C1 - 1.0) * slope:
+                    accepted = True
+                    break
+                g_new = None
             step *= _BACKTRACK_FACTOR
         if not accepted:
-            if _ARMIJO_C1 * step * abs(slope) < 8.0 * np.finfo(float).eps * max(1.0, abs(f)):
+            if _ARMIJO_C1 * step * abs(slope) < resolution:
                 # The smallest trial demanded less decrease than fun can
                 # resolve: the iterate sits at the rounding floor.  Stop
                 # here; a second-order method can still make progress.
@@ -215,7 +231,8 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
         if not np.any(s):
             # Accepted step too small to move x at float resolution.
             break
-        g_new = np.asarray(grad(x_new), dtype=float)
+        if g_new is None:
+            g_new = np.asarray(grad(x_new), dtype=float)
         y = g_new - g
         sy = float(s @ y)
         if first_update and sy > 0.0:
@@ -363,8 +380,8 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
     scale_ref = 1.0 if config.is_planar else config.R
     k = np.arange(-modes, modes + 1)
     t = nodes(1024)
-    shifts = 2.0 * np.pi * np.arange(1, config.n) / config.n
-    R2 = None if config.is_planar else config.R * config.R
+    shifts = 2.0 * np.pi * np.arange(config.n) / config.n
+    sigma, eps = config.sigma, (1 / config.R) ** 2
 
     for _ in range(100):
         c = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) * 2.0 ** (-np.abs(k))
@@ -375,7 +392,8 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
             continue
         c = c * (0.6 * scale_ref / peak)
         path = TrigPath(c)
-        seps_sq = _separations_squared(path.eval(t), np.array([path.eval(t + tau) for tau in shifts]), R2)
+        z = sigma * np.array([path.eval(t + tau) for tau in shifts])
+        seps_sq = _separations_squared(z, _scale(z, eps))
         if float(np.min(seps_sq)) >= (0.05 * scale_ref) ** 2:
             return path.pad(config.K)
     raise InfeasibleSeedError("no feasible random seed found in 100 draws")

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import COLLISION_THRESHOLD, CollisionError, Configuration, evaluate
+from .action import COLLISION_THRESHOLD, CollisionError, Configuration, _transform, evaluate
 from .geometry import OutOfDiskError
 from .trigpath import TrigPath, nodes, pack_vars
 
@@ -94,10 +94,9 @@ class ResidualTerms:
 
 def _shifted_values(path: TrigPath, config: Configuration, count: int) -> list[np.ndarray]:
     """Node values of q(t + 2*pi*j/n) for j = 0..n-1 on `count` nodes."""
-    return [
-        path.shift(2.0 * np.pi * j / config.n).at_nodes(count).values
-        for j in range(config.n)
-    ]
+    phases = _transform(path.K, False).shift_phases(config.n)
+    shifted = [path] + [TrigPath(sig * path.coeffs) for sig in phases]
+    return [copy.at_nodes(count).values for copy in shifted]
 
 
 def residual_terms(path: TrigPath, config: Configuration, node_count: int | None = None) -> ResidualTerms:

@@ -63,6 +63,7 @@ FD_CONFIGS = [
     Configuration(n=3, R=1.5, K=8),
     Configuration(n=4, R=2.0, K=6, omega=1.3),
     Configuration(n=5, R=math.inf, K=6, omega=2.8),
+    Configuration(n=3, R=math.inf, K=6),
 ]
 
 
@@ -293,26 +294,53 @@ class TestSymmetries:
             assert abs(b - a) <= 1e-12 * abs(a)
 
 
+def doubled_path_vars():
+    """Packed coefficients of a smooth n = 3 test path at K = 5."""
+    c = np.zeros(11, dtype=complex)
+    c[6] = 0.4
+    c[7] = 0.06 + 0.03j
+    c[4] = 0.05j
+    return pack_vars(TrigPath(c))
+
+
+def value_and_derivatives(evaluation, sigma=1.0):
+    """(value, sigma * gradient, sigma^2 * Hessian) of an order-2 evaluation."""
+    return evaluation.value, sigma * evaluation.gradient, sigma * sigma * evaluation.hessian
+
+
 class TestPlanarLimit:
-    def test_action_approaches_planar_action_of_doubled_path(self):
+    @pytest.mark.parametrize(
+        "order,bound_at_10", [(0, 1e-2), (1, 3e-2), (2, 1e-2)], ids=["value", "gradient", "hessian"]
+    )
+    def test_action_approaches_planar_action_of_doubled_path(self, order, bound_at_10):
         # A_R(q) = A_planar(2q) (1 + O(1/R^2)): the conformal factor tends
         # to 4 and the pair kernel to 1/(2|dq|), which together reproduce
-        # the flat action of the doubled path.
+        # the flat action of the doubled path.  So the gradient and the
+        # Hessian in q tend to 2 and 4 times the flat ones at 2q (relative
+        # errors about 0.5/R^2, 2/R^2 and 0.4/R^2 on this path).
         config_flat = Configuration(n=3, R=math.inf, K=5)
-        c = np.zeros(11, dtype=complex)
-        c[6] = 0.4
-        c[7] = 0.06 + 0.03j
-        c[4] = 0.05j
-        x = pack_vars(TrigPath(c))
-        flat = action_value(2.0 * x, config_flat)
+        x = doubled_path_vars()
+        flat = value_and_derivatives(evaluate(2.0 * x, config_flat), 2.0)[order]
         errs = []
         for R in (10.0, 100.0, 1000.0):
-            hyp = action_value(x, Configuration(n=3, R=R, K=5))
-            errs.append(abs(hyp / flat - 1.0))
-        assert errs[0] <= 1e-2
+            hyp = value_and_derivatives(evaluate(x, Configuration(n=3, R=R, K=5)))[order]
+            errs.append(float(np.linalg.norm(hyp - flat) / np.linalg.norm(flat)))
+        assert errs[0] <= bound_at_10
         # quadratic decay in 1/R: each decade of R drops the error 100x
         for lo, hi in zip(errs[1:], errs):
             assert 50.0 <= hi / lo <= 200.0, f"errors {errs}"
+
+    @pytest.mark.parametrize("R", [1e80, 1e160])
+    def test_huge_radius_is_flat_evaluation_of_doubled_path(self, R):
+        # 1/R^2 is below double precision here, so the disk evaluation must
+        # be the flat one at 2q, with no power of R overflowing on the way.
+        config = Configuration(n=3, R=R, K=5)
+        x = doubled_path_vars()
+        got = value_and_derivatives(evaluate(x, config))
+        want = value_and_derivatives(evaluate(2.0 * x, replace(config, R=math.inf)), 2.0)
+        for name, a, b in zip(("value", "gradient", "hessian"), got, want):
+            assert np.all(np.isfinite(a)), name
+            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b), name
 
 
 class TestInfeasible:

@@ -1,13 +1,16 @@
 """Curvature sweeps: alignment metric oracles, family convergence rates."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import hypchoreo
 from hypchoreo.action import Configuration
 from hypchoreo.continuation import (
     FamilyMember,
@@ -236,7 +239,10 @@ class TestConvergenceRate:
 
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; a fresh interpreter shows what the
-    # package itself imports.
+    # package itself imports.  It imports the package from where this
+    # session found it, installed or not.
     probe = "import sys, hypchoreo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    where = str(Path(hypchoreo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (where, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

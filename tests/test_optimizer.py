@@ -122,6 +122,20 @@ class TestMinimizeBfgs:
         assert not out.failed and not out.converged
         assert out.x[0] == 0.0
 
+    def test_converges_below_value_resolution(self):
+        # Near the minimum the decrease of a step is far below what the
+        # rounding-noisy values resolve; the slope at the trial decides
+        # instead, so the gradient tolerance is still reached.
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((6, 6))
+        A = A @ A.T + 6.0 * np.eye(6)
+        c = rng.standard_normal(6)
+        fun = lambda x: 1.0 + 0.5 * (x - c) @ A @ (x - c) + 4e-16 * math.sin(1e9 * float(np.sum(x)))
+        grad = lambda x: A @ (x - c)
+        out = minimize_bfgs(fun, grad, np.zeros(6), Phase1Options(gradient_tolerance=1e-12))
+        assert out.converged and not out.failed
+        assert np.linalg.norm(out.x - c) <= 1e-11 * np.linalg.norm(c)
+
     def test_iteration_cap(self):
         fun = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
         grad = lambda x: np.array(
