@@ -239,6 +239,18 @@ def _separations_squared(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.abs(z[0] - z[1:]) ** 2 / (a[0] * a[1:])
 
 
+def _out_of_disk(p: np.ndarray, eps) -> bool:
+    """Whether some node value of p comes within DISK_MARGIN (relatively)
+    of the disk's boundary |p| = 2R; never on the plane (eps = 0)."""
+    return bool(np.max(np.abs(p)) * np.sqrt(eps) / 2 >= 1.0 - DISK_MARGIN)
+
+
+def _collided(seps_sq: np.ndarray) -> bool:
+    """Whether some pair's squared separation reaches COLLISION_THRESHOLD^2.
+    Row by row, so that a NaN row cannot mask a collided one."""
+    return bool(np.any(np.min(seps_sq, axis=-1) <= COLLISION_THRESHOLD ** 2))
+
+
 class _NodeState:
     """Node values of p, its shifted copies, and the rotating velocity, in
     the dtype of the transform (long double when precise).
@@ -268,13 +280,6 @@ class _NodeState:
         # Trapezoid weight of every integral.
         self.w = 0.5 * config.n * (2.0 * sp.pi / sp.M)
 
-    def out_of_disk(self) -> bool:
-        return bool(np.max(np.abs(self.p)) * np.sqrt(self.eps) / 2 >= 1.0 - DISK_MARGIN)
-
-    def collided(self) -> bool:
-        # Row by row, so that a NaN row cannot mask a collided one.
-        return bool(np.any(np.min(self.seps_sq, axis=-1) <= COLLISION_THRESHOLD ** 2))
-
     @functools.cached_property
     def kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(F, F', F'') of every pair; only defined once no pair has collided."""
@@ -282,7 +287,7 @@ class _NodeState:
 
     def value(self) -> float | None:
         """The action; None when a node leaves the disk or a pair collides."""
-        if self.out_of_disk() or self.collided():
+        if _out_of_disk(self.p, self.eps) or _collided(self.seps_sq):
             return None
         value = self.w * float(np.sum(self.lam * self.uu))
         for pair_sum in np.sum(self.kernels[0], axis=-1):
@@ -471,11 +476,11 @@ def pairwise_separations(path: TrigPath, config: Configuration) -> list[NodeValu
         If some pair separation is at or below the collision threshold.
     """
     state = _NodeState(config.sigma * path.coeffs, config)
-    if state.out_of_disk():
+    if _out_of_disk(state.p, state.eps):
         from .geometry import OutOfDiskError
 
         raise OutOfDiskError("trajectory leaves the disk")
-    if state.collided():
+    if _collided(state.seps_sq):
         raise CollisionError("pair separation at the collision threshold")
     return [NodeValues(np.sqrt(p).astype(complex)) for p in state.seps_sq]
 

@@ -8,22 +8,20 @@ motion is never integrated in time, so the residual of the projected
 equations is the primary evidence that the variational solution solves
 the dynamical problem.
 
-In the rotating frame with angular velocity w, body 0 on the disk obeys
+The residual is written once for disk and plane, in the variables of the
+action (see action.py): the curvature eps = 1/R^2 (0 for R = inf), the
+coordinate p = sigma q, the scale a = 1 - eps |p|^2/4 and the squared
+separations d_j^2 = |p - p_j|^2 / (a a_j) from the shifted copies p_j.
+With v = p' + i w p and kappa = eps conj(p) / (4a), body 0 in the frame
+rotating at angular velocity w obeys
 
-    z'' + 2iw z' - w^2 z
-        = -2 zbar (z' + iw z)^2 / (R^2 - |z|^2)
-        + (4R/lam) sum_{i != 0} P_i / Theta_i^(3/2),
+    p'' + 2i w p' - w^2 p
+        = -2 kappa v^2 + 2 a^2 sum_j F'(d_j^2) d_j^2 (1/(conj(p) - conj(p_j)) + conj(kappa)),
 
-where lam is the conformal factor at z, and with s = R^2 - |z|^2,
-s_i = R^2 - |z_i|^2,
-
-    P_i     = s s_i^2 (R^2 - z zbar_i)(z_i - z),
-    Theta_i = (4R^2 Re(z zbar_i) - (R^2+|z|^2)(R^2+|z_i|^2))^2 - s^2 s_i^2.
-
-Theta_i is a difference of squares that is positive exactly when the two
-bodies are distinct.  The flat variant replaces the right-hand side by
-the Newtonian sum of (z_i - z)/|z_i - z|^3.  Because all bodies follow
-the same curve, the residual is computed for body 0 only.
+with F'(P) = -G^(-3/2)/2 and G = P (1 + eps P/4) from the action's pair
+kernel.  At eps = 0 this is Newton's sum of (p_j - p)/|p_j - p|^3.  No
+power of R appears, so the residual stays finite for any R.  Because all
+bodies follow the same curve, the residual is computed for body 0 only.
 """
 
 from __future__ import annotations
@@ -33,17 +31,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import COLLISION_THRESHOLD, CollisionError, Configuration, _transform, evaluate
+from .action import (
+    CollisionError,
+    Configuration,
+    _collided,
+    _out_of_disk,
+    _pair_kernel,
+    _scale,
+    _separations_squared,
+    _transform,
+    evaluate,
+)
 from .geometry import OutOfDiskError
 from .trigpath import TrigPath, nodes, pack_vars
 
 __all__ = [
     "PhaseRecord",
     "SolveReport",
-    "ResidualTerms",
     "VerificationThresholds",
     "VerificationResult",
-    "residual_terms",
     "path_residual",
     "motion_residual",
     "coefficient_decay",
@@ -79,94 +85,50 @@ class SolveReport:
         return self.phase2 if self.phase2 is not None else self.phase1
 
 
-@dataclass(frozen=True)
-class ResidualTerms:
-    """Pointwise ingredients of the projected equations of motion.
-
-    Arrays are indexed by body j (axis 0), companion i != j in the order
-    (j+1, ..., j+n-1) mod n (axis 1 where present), and node (last axis).
-    """
-
-    lam: np.ndarray
-    P: np.ndarray
-    Theta: np.ndarray
-
-
-def _shifted_values(path: TrigPath, config: Configuration, count: int) -> list[np.ndarray]:
-    """Node values of q(t + 2*pi*j/n) for j = 0..n-1 on `count` nodes."""
+def _shifted_values(path: TrigPath, config: Configuration, count: int) -> np.ndarray:
+    """Node values of the path at t + 2*pi*j/n, row j for j = 0..n-1, on
+    `count` nodes."""
     phases = _transform(path.K, False).shift_phases(config.n)
     shifted = [path] + [TrigPath(sig * path.coeffs) for sig in phases]
-    return [copy.at_nodes(count).values for copy in shifted]
-
-
-def residual_terms(path: TrigPath, config: Configuration, node_count: int | None = None) -> ResidualTerms:
-    """Conformal factors and pair terms of the disk equations of motion.
-
-    Raises CollisionError when some Theta fails to be positive, which for
-    on-disk points happens exactly at a collision.
-    """
-    if config.is_planar:
-        raise ValueError("residual terms are defined for the disk equations only")
-    N = node_count if node_count is not None else 2 * path.K + 1
-    z = _shifted_values(path, config, N)
-    R2 = config.R * config.R
-    n = config.n
-    lam = np.empty((n, N))
-    P = np.empty((n, n - 1, N), dtype=complex)
-    Theta = np.empty((n, n - 1, N))
-    s = [R2 - np.abs(zj) ** 2 for zj in z]
-    for j in range(n):
-        lam[j] = 4.0 * R2 * R2 / s[j] ** 2
-        for col, i in enumerate((j + m) % n for m in range(1, n)):
-            zz = z[j] * np.conj(z[i])
-            B = 4.0 * R2 * zz.real - (R2 + np.abs(z[j]) ** 2) * (R2 + np.abs(z[i]) ** 2)
-            Theta[j, col] = B * B - (s[j] * s[i]) ** 2
-            P[j, col] = s[j] * s[i] ** 2 * (R2 - zz) * (z[i] - z[j])
-    if np.min(Theta) <= 0.0:
-        raise CollisionError("colliding bodies: pair term Theta is not positive")
-    return ResidualTerms(lam=lam, P=P, Theta=Theta)
+    return np.array([copy.at_nodes(count).values for copy in shifted])
 
 
 def path_residual(path: TrigPath, config: Configuration, node_count: int | None = None) -> float:
     """Relative 2-norm of the equations-of-motion defect for body 0.
 
-    The defect z'' - (rest of the equation) is evaluated on the path's own
-    2K+1 nodes (or `node_count` nodes) and normalized by the 2-norm of z''
-    on the same grid.
+    The defect p'' - (rest of the equation) is evaluated on the path's own
+    2K+1 nodes (or `node_count` nodes) and normalized by the 2-norm of p''
+    on the same grid, so the scale sigma of p = sigma q cancels.  Raises
+    OutOfDiskError and CollisionError on the action's own tests.
     """
     N = node_count if node_count is not None else 2 * path.K + 1
     if N < 2 * path.K + 1:
         raise ValueError("residual grid must resolve the path")
     w = config.omega
-    z = _shifted_values(path, config, N)
-    z0 = z[0]
-    if not config.is_planar:
-        if np.max(np.abs(z0)) >= config.R:
-            raise OutOfDiskError("trajectory leaves the disk")
-    d1 = path.derivative()
-    zp = d1.at_nodes(N).values
-    zpp = d1.derivative().at_nodes(N).values
+    eps = (1 / config.R) ** 2
+    p_path = TrigPath(config.sigma * path.coeffs)
+    z = _shifted_values(p_path, config, N)
+    p = z[0]
+    if _out_of_disk(p, eps):
+        raise OutOfDiskError("trajectory leaves the disk")
+    a = _scale(z, eps)
+    P = _separations_squared(z, a)
+    if _collided(P):
+        raise CollisionError("colliding bodies in residual evaluation")
+    d1 = p_path.derivative()
+    vel = d1.at_nodes(N).values
+    acc = d1.derivative().at_nodes(N).values
 
-    rhs = -2j * w * zp + w * w * z0
-    if config.is_planar:
-        for zi in z[1:]:
-            diff = zi - z0
-            dist = np.abs(diff)
-            if np.min(dist) <= COLLISION_THRESHOLD:
-                raise CollisionError("colliding bodies in residual evaluation")
-            rhs = rhs + diff / dist ** 3
-    else:
-        terms = residual_terms(path, config, node_count=N)
-        v = zp + 1j * w * z0
-        s0 = config.R ** 2 - np.abs(z0) ** 2
-        rhs = rhs - 2.0 * np.conj(z0) * v * v / s0
-        pair = np.sum(terms.P[0] / terms.Theta[0] ** 1.5, axis=0)
-        rhs = rhs + (4.0 * config.R / terms.lam[0]) * pair
+    v = vel + 1j * w * p
+    kappa = 0.25 * eps * np.conj(p) / a[0]
+    Fp = _pair_kernel(P, eps)[1]
+    pair = np.sum(Fp * P * (1.0 / np.conj(p - z[1:]) + np.conj(kappa)), axis=0)
+    rhs = -2j * w * vel + w * w * p - 2.0 * kappa * v * v + 2.0 * a[0] ** 2 * pair
 
-    scale = float(np.linalg.norm(zpp))
+    scale = float(np.linalg.norm(acc))
     if scale == 0.0:
         raise ValueError("degenerate path: zero acceleration everywhere")
-    return float(np.linalg.norm(zpp - rhs)) / scale
+    return float(np.linalg.norm(acc - rhs)) / scale
 
 
 def motion_residual(choreo) -> float:
@@ -224,13 +186,13 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
     failures: list[str] = []
 
     decay = coefficient_decay(choreo)
-    if decay > thr.decay:
+    if not decay <= thr.decay:
         failures.append(f"coefficient decay {decay:.3e} exceeds {thr.decay:.3e}")
 
     gradient = None
     try:
         gradient = gradient_rel_norm(choreo.path, choreo.config)
-        if gradient > thr.gradient:
+        if not gradient <= thr.gradient:
             failures.append(f"gradient norm {gradient:.3e} exceeds {thr.gradient:.3e}")
     except (CollisionError, OutOfDiskError) as exc:
         failures.append(f"gradient unavailable: {exc}")
@@ -238,7 +200,7 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
     residual = None
     try:
         residual = path_residual(choreo.path, choreo.config)
-        if residual > thr.residual:
+        if not residual <= thr.residual:
             failures.append(f"motion residual {residual:.3e} exceeds {thr.residual:.3e}")
     except (CollisionError, OutOfDiskError) as exc:
         failures.append(f"residual unavailable: {exc}")

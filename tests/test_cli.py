@@ -107,6 +107,18 @@ class TestVerify:
         code = main(["verify", str(circle_solution), "--residual-threshold", "1e-30"])
         assert code == 2
 
+    def test_nan_thresholds_fail_exit_2(self, circle_solution, capsys):
+        code = main(
+            [
+                "verify", str(circle_solution), "--decay-threshold", "nan",
+                "--gradient-threshold", "nan", "--residual-threshold", "nan",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.strip().endswith("FAIL")
+        assert out.count("FAIL") == 4
+
     def test_missing_file_exit_4(self, tmp_path, capsys):
         code = main(["verify", str(tmp_path / "absent.json")])
         assert code == 4

@@ -18,7 +18,6 @@ from hypchoreo.verify import (
     gradient_rel_norm,
     motion_residual,
     path_residual,
-    residual_terms,
     verify_all,
 )
 
@@ -57,6 +56,8 @@ CIRCLE_CONFIGS = [
     Configuration(n=2, R=1.5, K=4, omega=2.8),
     Configuration(n=2, R=math.inf, K=4),
     Configuration(n=3, R=math.inf, K=4, omega=-0.5),
+    Configuration(n=2, R=1e3, K=4, omega=2.8),
+    Configuration(n=3, R=1e4, K=4),
 ]
 
 
@@ -122,27 +123,17 @@ class TestResidualProperties:
                 Configuration(n=2, R=math.inf, K=2),
             )
 
-
-class TestResidualTerms:
-    def test_theta_positive_for_distinct_bodies(self):
-        config = Configuration(n=3, R=1.5, K=3)
-        path = random_seed(config, modes=3, rng_seed=2)
-        terms = residual_terms(path, config)
-        assert np.min(terms.Theta) > 0.0
-        assert terms.lam.shape == (3, 7)
-        assert terms.P.shape == (3, 2, 7)
-
-    def test_conformal_factor_row(self):
-        config = Configuration(n=2, R=1.6, K=2)
-        r = 0.5
-        terms = residual_terms(circle_path(r, 2), config)
-        lam = 4.0 * config.R ** 4 / (config.R ** 2 - r * r) ** 2
-        assert np.allclose(terms.lam, lam, rtol=1e-13)
-
-    def test_planar_rejected(self):
-        config = Configuration(n=3, R=math.inf, K=2)
-        with pytest.raises(ValueError):
-            residual_terms(circle_path(0.5, 2), config)
+    @pytest.mark.parametrize("R", [1e20, 1e80, 1e160])
+    def test_huge_radius_residual_is_flat_residual_of_doubled_path(self, R):
+        # eps = 1/R^2 is below the resolution of 1 here, so the disk residual of q
+        # must be the flat one of 2q, with no power of R overflowing.
+        c = np.zeros(11, dtype=complex)
+        c[6] = 0.4
+        c[7] = 0.06 + 0.03j
+        c[4] = 0.05j
+        got = path_residual(TrigPath(c), Configuration(n=3, R=R, K=5))
+        want = path_residual(TrigPath(2.0 * c), Configuration(n=3, R=math.inf, K=5))
+        assert math.isfinite(want) and got == want
 
 
 class TestGradientNorm:
@@ -198,6 +189,11 @@ class TestVerifyAll:
     def test_custom_thresholds(self, converged_circle):
         strict = VerificationThresholds(decay=1e-30, gradient=1e-30, residual=1e-30)
         out = verify_all(converged_circle, strict)
+        assert not out.passed and len(out.failures) == 3
+
+    def test_nan_thresholds_fail_closed(self, converged_circle):
+        nan = VerificationThresholds(decay=math.nan, gradient=math.nan, residual=math.nan)
+        out = verify_all(converged_circle, nan)
         assert not out.passed and len(out.failures) == 3
 
 
