@@ -190,24 +190,19 @@ def cmd_sweep(args) -> int:
     family = _load_file(args.family)
     K1 = args.K if args.K is not None else (family.config.K + 1) // 2
     K2 = args.K2 if args.K2 is not None else family.config.K
-    if K2 < K1:
-        print(
-            f"hypchoreo sweep: error: --K2 {K2} is below the phase-1 bandwidth {K1} of the members; "
-            "pass a larger --K2 or a smaller --K",
-            file=sys.stderr,
-        )
+    if K2 < K1 and not family.config.is_planar:
+        message = f"--K2 {K2} is below the flat solve's phase-1 bandwidth {K1}; pass a larger --K2 or a smaller --K"
+        print(f"hypchoreo sweep: error: {message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     options2 = Phase2Options(K2=K2)
 
     try:
-        if family.config.is_planar:
-            planar_start = family
-        else:
+        planar_start = family
+        if not family.config.is_planar:
             planar_config = replace(family.config, R=math.inf, K=K1)
             planar_seed = _fit_bandwidth(TrigPath(family.path.coeffs * family.config.sigma), K1)
             planar_start = solve_planar(planar_config, planar_seed, Phase1Options(), options2)
-        family_config = replace(family.config, R=radii[0], K=K1)
-        result = continue_in_R(family_config, radii, planar_start, Phase1Options(), options2)
+        result = continue_in_R(replace(family.config, R=radii[0]), radii, planar_start, options2)
     except (SolveFailure, InfeasibleSeedError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -330,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="continue a family in R and compare to the flat limit")
     p_sweep.add_argument("--family", required=True, help="solution file identifying the family")
     p_sweep.add_argument("--R-list", required=True, help="comma-separated radii, e.g. 10,100,1000")
-    p_sweep.add_argument("--K", type=_at_least(1), default=None, help="phase-1 bandwidth for members (default half the file's)")
-    p_sweep.add_argument("--K2", type=_at_least(1), default=None, help="phase-2 bandwidth for members (default the file's)")
+    p_sweep.add_argument("--K", type=_at_least(1), default=None, help="phase-1 bandwidth of the flat solve (default half the file's)")
+    p_sweep.add_argument("--K2", type=_at_least(1), default=None, help="Newton bandwidth of the flat solve and the members (default the file's)")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.set_defaults(handler=cmd_sweep)
 

@@ -4,9 +4,10 @@ As the curvature radius R grows, orbits on the disk shrink toward the
 center and, once scaled by sigma (Configuration.sigma: 2 on the disk, 1
 on the plane; the action's coordinate is p = sigma q), converge to
 flat-space orbits at a rate proportional to 1/R^2.  Sweeps exploit this:
-the flat solution divided by sigma seeds the largest-R solve, and each
-converged member seeds the next, which keeps the whole family on one
-solution branch and preserves its rotation and phase gauge along the way.
+every member is Newton-corrected at K2 (Phase 2 only), from the flat
+solution divided by sigma for the largest R and from the previous member
+after that, which keeps the whole family on one solution branch and
+preserves its rotation and phase gauge along the way.
 
 The distance between a disk orbit and its flat counterpart is the
 infinity-norm of sigma q_R(t) - q_flat(t) on a dense time grid, at the
@@ -31,6 +32,7 @@ from .optimizer import (
     Phase1Options,
     Phase2Options,
     SolveFailure,
+    _solve_phase2,
     solve,
 )
 from .trigpath import TrigPath
@@ -158,16 +160,15 @@ def continue_in_R(
     family_config: Configuration,
     R_list,
     planar_start: Choreography,
-    options1: Phase1Options | None = None,
     options2: Phase2Options | None = None,
     thresholds: VerificationThresholds | None = None,
 ) -> ContinuationResult:
-    """Warm-started sweep over descending curvature radii.
+    """Newton-only sweep over descending curvature radii.
 
-    The first (largest) R is seeded by the flat solution divided by the
-    disk's sigma; each later R by the previous member.  A member must both
-    solve and pass verify_all; the sweep stops at the first failure and
-    returns the prefix with failed_at set.
+    Each member is Newton-corrected at K2 (options2.K2, default 2 K) from
+    the flat solution divided by the disk's sigma (first, largest R) or the
+    previous member.  A member must converge and pass verify_all; the sweep
+    stops at the first failure and returns the prefix with failed_at set.
     """
     radii = [float(R) for R in R_list]
     if not radii:
@@ -179,21 +180,21 @@ def continue_in_R(
     if not planar_start.config.is_planar:
         raise ValueError("planar_start must be a flat solution")
 
+    opts2 = options2 if options2 is not None else Phase2Options()
+    K2 = opts2.K2 if opts2.K2 is not None else 2 * family_config.K
     reference = center_planar(planar_start)
     sigma = replace(family_config, R=radii[0]).sigma
-    seed = _fit_bandwidth(TrigPath(reference.path.coeffs / sigma), family_config.K)
+    start = _fit_bandwidth(TrigPath(reference.path.coeffs / sigma), K2)
     members: list[FamilyMember] = []
     for R in radii:
-        config = replace(family_config, R=R)
         try:
-            choreo = solve(config, seed, options1, options2)
+            choreo = _solve_phase2(replace(family_config, R=R), start, opts2)
         except (SolveFailure, InfeasibleSeedError):
             return ContinuationResult(members, failed_at=R)
-        if not verify_all(choreo, thresholds).passed:
+        if not choreo.report.phase2.converged or not verify_all(choreo, thresholds).passed:
             return ContinuationResult(members, failed_at=R)
-        diff = planar_limit_diff(choreo, reference)
-        members.append(FamilyMember(R=R, choreo=choreo, diff_to_planar=diff))
-        seed = _fit_bandwidth(choreo.path, family_config.K)
+        members.append(FamilyMember(R, choreo, planar_limit_diff(choreo, reference)))
+        start = choreo.path
     return ContinuationResult(members)
 
 

@@ -316,6 +316,7 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
         # noise components produce no step to speak of.
         lam_eff = np.maximum(np.abs(lam), _EIGENVALUE_FLOOR + 1e-12 * h_norm)
         step = -vecs @ ((vecs.T @ g) / lam_eff)
+        del H, vecs  # free them before the next Hessian is assembled
 
         # Halve the step while it leaves the feasible region or increases
         # the value; the tolerance leaves endgame steps alone, which reduce
@@ -424,7 +425,6 @@ def solve(
     options2.K2 (default 2 K).  Raises SolveFailure, with the partial
     result attached, when a phase reports failure.
     """
-    opts1 = options1 if options1 is not None else Phase1Options()
     opts2 = options2 if options2 is not None else Phase2Options()
     K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
     if K2 < config.K:
@@ -432,12 +432,8 @@ def solve(
     if seed.K > config.K:
         raise ValueError("seed bandwidth exceeds the configuration bandwidth")
 
-    x0 = pack_vars(seed.pad(config.K))
-    if not math.isfinite(action_value(x0, config)):
-        raise InfeasibleSeedError("seed path is infeasible")
-
     t0 = time.perf_counter()
-    result1 = phase1_bfgs(x0, config, opts1)
+    result1 = phase1_bfgs(pack_vars(seed.pad(config.K)), config, options1)
     return _solve_from_phase1(config, result1, time.perf_counter() - t0, opts2)
 
 
@@ -453,10 +449,18 @@ def _solve_from_phase1(
     if result1.failed and not result1.converged:
         partial = Choreography(config, path1, SolveReport(phase1=record1))
         raise SolveFailure(f"phase 1 failed: {result1.message}", partial)
+    return _solve_phase2(config, path1.pad(K2), opts2, record1)
 
-    config2 = replace(config, K=K2)
+
+def _solve_phase2(
+    config: Configuration, start: TrigPath, opts2: Phase2Options, record1: PhaseRecord | None = None
+) -> Choreography:
+    """Phase 2 from the padded `start` at its bandwidth, reported after record1
+    (None when no Phase 1 ran).  Raises SolveFailure, with the result
+    attached, when Phase 2 failed."""
+    config2 = replace(config, K=start.K)
     t1 = time.perf_counter()
-    result2 = phase2_newton(pack_vars(path1.pad(K2)), config2, opts2)
+    result2 = phase2_newton(pack_vars(start), config2, opts2)
     path2 = unpack_vars(result2.x)
     record2 = _phase_record(result2, path2, config2, time.perf_counter() - t1)
 

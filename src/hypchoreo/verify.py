@@ -187,13 +187,13 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
 
     decay = coefficient_decay(choreo)
     if not decay <= thr.decay:
-        failures.append(f"coefficient decay {decay:.3e} exceeds {thr.decay:.3e}")
+        failures.append(f"coefficient decay {decay:.3e} is not within bound {thr.decay:.3e}")
 
     gradient = None
     try:
         gradient = gradient_rel_norm(choreo.path, choreo.config)
         if not gradient <= thr.gradient:
-            failures.append(f"gradient norm {gradient:.3e} exceeds {thr.gradient:.3e}")
+            failures.append(f"gradient norm {gradient:.3e} is not within bound {thr.gradient:.3e}")
     except (CollisionError, OutOfDiskError) as exc:
         failures.append(f"gradient unavailable: {exc}")
 
@@ -201,7 +201,7 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
     try:
         residual = path_residual(choreo.path, choreo.config)
         if not residual <= thr.residual:
-            failures.append(f"motion residual {residual:.3e} exceeds {thr.residual:.3e}")
+            failures.append(f"motion residual {residual:.3e} is not within bound {thr.residual:.3e}")
     except (CollisionError, OutOfDiskError) as exc:
         failures.append(f"residual unavailable: {exc}")
 

@@ -174,11 +174,22 @@ class TestSweep:
         assert code == 4
 
     def test_K2_below_file_bandwidth_exit_2(self, capsys):
-        # Without --K the members' phase-1 bandwidth comes from the file.
+        # Without --K the flat solve's phase-1 bandwidth comes from the file.
         code = main(["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K2", "3"])
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+    def test_flat_family_has_no_phase1_bandwidth(self, tmp_path, capsys):
+        # A flat file is the flat solution itself: no Phase 1 runs, so a
+        # --K2 below half the file's bandwidth is not an error.
+        flat = tmp_path / "flat.json"
+        assert main(["solve", "--n", "2", "--R", "inf", "--K", "4", "--seed", "0", "--out", str(flat)]) == 0
+        capsys.readouterr()
+        code = main(["sweep", "--family", str(flat), "--R-list", "40,20", "--K2", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
 
 
 @pytest.mark.parametrize(

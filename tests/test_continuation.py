@@ -20,7 +20,7 @@ from hypchoreo.continuation import (
     planar_limit_diff,
     solve_planar,
 )
-from hypchoreo.optimizer import Choreography
+from hypchoreo.optimizer import Choreography, Phase2Options
 from hypchoreo.solutions import load_bundled
 from hypchoreo.trigpath import TrigPath
 from hypchoreo.verify import SolveReport, VerificationThresholds
@@ -201,6 +201,37 @@ class TestContinueInR:
         assert not out.complete
         assert out.failed_at == 50.0
         assert out.members == []
+
+    def test_members_are_newton_only(self, planar_two_body, monkeypatch):
+        def no_phase1(*args, **kwargs):
+            raise AssertionError("continue_in_R ran Phase 1")
+
+        monkeypatch.setattr("hypchoreo.optimizer.phase1_bfgs", no_phase1)
+        family_config = Configuration(n=2, R=50.0, K=4)
+        out = continue_in_R(family_config, [50.0, 20.0], planar_two_body)
+        assert out.complete
+        for member in out.members:
+            assert member.choreo.report.phase1 is None
+            assert member.choreo.report.phase2.converged
+            assert member.choreo.config.K == 8
+
+    def test_unconverged_newton_stops_sweep(self, planar_two_body):
+        # At R = 1e8 the flat orbit divided by sigma already meets the
+        # Newton tolerance, so it converges in zero steps; R = 5 needs
+        # steps that max_iterations=0 does not allow.
+        family_config = Configuration(n=2, R=1e8, K=4)
+        out = continue_in_R(family_config, [1e8, 5.0], planar_two_body, Phase2Options(max_iterations=0))
+        assert out.failed_at == 5.0
+        assert [m.R for m in out.members] == [1e8]
+        assert out.members[0].choreo.report.phase2.converged
+
+    def test_large_jump_stays_on_branch(self, planar_two_body, swept_family):
+        family_config = Configuration(n=2, R=50.0, K=4)
+        jump = continue_in_R(family_config, [50.0, 5.0], planar_two_body)
+        assert jump.complete
+        stepwise = swept_family.members[-1]
+        assert jump.members[-1].choreo.action == pytest.approx(stepwise.choreo.action, rel=1e-12)
+        assert jump.members[-1].diff_to_planar == pytest.approx(stepwise.diff_to_planar, rel=1e-6)
 
     def test_validation(self, planar_two_body):
         config = Configuration(n=2, R=50.0, K=4)

@@ -196,6 +196,12 @@ class TestVerifyAll:
         out = verify_all(converged_circle, nan)
         assert not out.passed and len(out.failures) == 3
 
+    def test_failure_wording_holds_for_nan_bounds(self, converged_circle):
+        nan = VerificationThresholds(decay=math.nan, gradient=math.nan, residual=math.nan)
+        failures = verify_all(converged_circle, nan).failures
+        assert failures[0] == f"coefficient decay {coefficient_decay(converged_circle):.3e} is not within bound nan"
+        assert all(msg.endswith("is not within bound nan") for msg in failures)
+
 
 class TestExtrinsicResidual:
     def test_small_on_critical_circle(self):
