@@ -55,7 +55,8 @@ in one of two precisions, each built once per (K, precise) and cached:
 double precision, or long double for the Newton endgame and the final
 verification, whose rounding floor lies far below the double-precision
 gradient's (about 1e-12 relative at converged solutions) wherever long
-double is wider than double.
+double is wider than double.  The same node state, on the residual's own
+grid, gives verify.path_residual its node values and feasibility tests.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .trigpath import NodeValues, TrigPath
 
 __all__ = [
@@ -80,10 +82,6 @@ __all__ = [
     "pairwise_separations",
     "hyperboloid_energies",
 ]
-
-# Node values this close to the boundary (relatively) make the evaluation
-# infeasible; the optimizer treats the non-finite value as a rejected step.
-DISK_MARGIN = 1e-12
 
 # Pair separations at or below this threshold count as collisions.
 COLLISION_THRESHOLD = 1e-13
@@ -118,6 +116,8 @@ class Configuration:
             raise ValueError("curvature radius must be positive (math.inf for planar)")
         if self.K < 1:
             raise ValueError("bandwidth K must be at least 1")
+        if not math.isfinite(self.omega):
+            raise ValueError("frame rotation omega must be finite")
 
     @property
     def is_planar(self) -> bool:
@@ -170,6 +170,7 @@ class _Spectral:
     adjoint:   (E^T g)_k      = sum_m g_m exp(+i k t_m)
     hank:      (E^T D E)_kl   = sum_m d_m exp(+i (k+l) t_m), from f = transform(d)
     toep:      (E^T D Ebar)_kl = sum_m d_m exp(+i (k-l) t_m), from f = transform(d)
+        (their (2K+1)^2 index tables are built on first use, by a Hessian)
     shift_phases: exp(2 pi i j k / n), row j-1 for j = 1..n-1, the factors
         that turn the coefficients of q(t) into those of q(t + 2 pi j / n);
         computed once per n and read-only
@@ -183,9 +184,15 @@ class _Spectral:
         # k in the transform's dtype, so that dw * c keeps its precision.
         self.k = k.astype(real)
         self._kmod = k % M
-        self._hidx = (k[:, None] + k[None, :]) % M
-        self._tidx = (k[:, None] - k[None, :]) % M
         self._phases: dict[int, np.ndarray] = {}
+
+    @functools.cached_property
+    def _hidx(self) -> np.ndarray:
+        return (self._kmod[:, None] + self._kmod[None, :]) % self.M
+
+    @functools.cached_property
+    def _tidx(self) -> np.ndarray:
+        return (self._kmod[:, None] - self._kmod[None, :]) % self.M
 
     def values(self, c: np.ndarray) -> np.ndarray:
         spectrum = np.zeros(c.shape[:-1] + (self.M,), dtype=np.result_type(self.real, 1j))
@@ -213,9 +220,10 @@ class _Spectral:
 
 
 @functools.lru_cache(maxsize=32)
-def _transform(K: int, precise: bool) -> _Spectral:
-    """The transform for bandwidth K on its quadrature grid, built once."""
-    return _Spectral(K, quadrature_size(K), np.longdouble if precise else np.float64)
+def _transform(K: int, precise: bool, M: int | None = None) -> _Spectral:
+    """The transform for bandwidth K on M nodes (default its quadrature
+    grid), built once."""
+    return _Spectral(K, quadrature_size(K) if M is None else M, np.longdouble if precise else np.float64)
 
 
 def _coefficients(x, config: Configuration) -> np.ndarray:
@@ -239,21 +247,10 @@ def _separations_squared(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.abs(z[0] - z[1:]) ** 2 / (a[0] * a[1:])
 
 
-def _out_of_disk(p: np.ndarray, eps) -> bool:
-    """Whether some node value of p comes within DISK_MARGIN (relatively)
-    of the disk's boundary |p| = 2R; never on the plane (eps = 0)."""
-    return bool(np.max(np.abs(p)) * np.sqrt(eps) / 2 >= 1.0 - DISK_MARGIN)
-
-
-def _collided(seps_sq: np.ndarray) -> bool:
-    """Whether some pair's squared separation reaches COLLISION_THRESHOLD^2.
-    Row by row, so that a NaN row cannot mask a collided one."""
-    return bool(np.any(np.min(seps_sq, axis=-1) <= COLLISION_THRESHOLD ** 2))
-
-
 class _NodeState:
-    """Node values of p, its shifted copies, and the rotating velocity, in
-    the dtype of the transform (long double when precise).
+    """Node values of p, its shifted copies, and the rotating velocity
+    u = p' + i w p, in the dtype of the transform (long double when
+    precise), on the quadrature grid or on M nodes.
 
     p, its n-1 shifted copies and u come from one stacked transform.  z
     holds p (row 0) and the copies pj (rows 1..n-1); pj and everything
@@ -261,9 +258,10 @@ class _NodeState:
     per shift j = 1..n-1.
     """
 
-    def __init__(self, p: np.ndarray, config: Configuration, precise: bool = False):
+    def __init__(self, p: np.ndarray, config: Configuration, precise: bool = False, M: int | None = None):
         K = (p.size - 1) // 2
-        self.sp = sp = _transform(K, precise)
+        # Without M, the same cache entry as _transform(K, precise).
+        self.sp = sp = _transform(K, precise) if M is None else _transform(K, precise, M)
         self.config = config
         self.eps = (1 / sp.real(config.R)) ** 2
         self.dw = 1j * (sp.k + config.omega)
@@ -285,9 +283,22 @@ class _NodeState:
         """(F, F', F'') of every pair; only defined once no pair has collided."""
         return _pair_kernel(self.seps_sq, self.eps)
 
+    def check(self) -> None:
+        """Raise OutOfDiskError when some node of p comes within
+        BOUNDARY_MARGIN (relatively) of the disk's boundary |p| = 2R, which
+        never happens on the plane (eps = 0), and CollisionError when some
+        pair's squared separation reaches COLLISION_THRESHOLD^2, tested row
+        by row so that a NaN row cannot mask a collided one."""
+        if np.max(np.abs(self.p)) * np.sqrt(self.eps) / 2 >= 1.0 - geometry.BOUNDARY_MARGIN:
+            raise geometry.OutOfDiskError("trajectory leaves the disk")
+        if np.any(np.min(self.seps_sq, axis=-1) <= COLLISION_THRESHOLD ** 2):
+            raise CollisionError("pair separation at the collision threshold")
+
     def value(self) -> float | None:
         """The action; None when a node leaves the disk or a pair collides."""
-        if _out_of_disk(self.p, self.eps) or _collided(self.seps_sq):
+        try:
+            self.check()
+        except (geometry.OutOfDiskError, CollisionError):
             return None
         value = self.w * float(np.sum(self.lam * self.uu))
         for pair_sum in np.sum(self.kernels[0], axis=-1):
@@ -476,12 +487,7 @@ def pairwise_separations(path: TrigPath, config: Configuration) -> list[NodeValu
         If some pair separation is at or below the collision threshold.
     """
     state = _NodeState(config.sigma * path.coeffs, config)
-    if _out_of_disk(state.p, state.eps):
-        from .geometry import OutOfDiskError
-
-        raise OutOfDiskError("trajectory leaves the disk")
-    if _collided(state.seps_sq):
-        raise CollisionError("pair separation at the collision threshold")
+    state.check()
     return [NodeValues(np.sqrt(p).astype(complex)) for p in state.seps_sq]
 
 
@@ -501,7 +507,6 @@ def hyperboloid_energies(path: TrigPath, config: Configuration, times) -> tuple[
     """
     if config.is_planar:
         raise ValueError("hyperboloid energies are undefined for planar configurations")
-    from . import geometry
 
     t = np.asarray(times, dtype=float)
     R = config.R

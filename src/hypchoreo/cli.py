@@ -68,6 +68,14 @@ def _radius(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type for a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _at_least(minimum: int):
     """argparse type for an integer no smaller than minimum."""
 
@@ -304,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_config_flags(p):
         p.add_argument("--n", type=_at_least(2), required=True, help="number of bodies")
         p.add_argument("--R", type=_radius, required=True, help="curvature radius, or inf")
-        p.add_argument("--omega", type=float, default=0.0, help="rotating-frame angular velocity")
+        p.add_argument("--omega", type=_finite, default=0.0, help="rotating-frame angular velocity")
         p.add_argument("--K", type=_at_least(1), required=True, help="bandwidth (2K+1 coefficients)")
         p.add_argument("--K2", type=_at_least(1), default=None, help="padded bandwidth for Newton (default 2K)")
 

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -45,16 +45,8 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-_RECORD_FIELDS = (
-    "action",
-    "coefficient_count",
-    "wall_time_seconds",
-    "iterations",
-    "gradient_rel_norm",
-    "smallest_coefficient",
-    "residual_rel_norm",
-    "converged",
-)
+# PhaseRecord's field names, each mapped to whether a file must give it.
+_RECORD_FIELDS = {f.name: f.default is MISSING for f in fields(PhaseRecord)}
 
 
 class MalformedSolutionError(ValueError):
@@ -89,7 +81,7 @@ def _record_from_dict(data) -> PhaseRecord:
         raise MalformedSolutionError("phase record must be an object")
     try:
         kwargs = {name: data[name] for name in _RECORD_FIELDS if name in data}
-        missing = [name for name in _RECORD_FIELDS[:-1] if name not in kwargs]
+        missing = [name for name, required in _RECORD_FIELDS.items() if required and name not in kwargs]
         if missing:
             raise MalformedSolutionError(f"phase record misses fields: {missing}")
         return PhaseRecord(**kwargs)

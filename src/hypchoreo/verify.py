@@ -22,6 +22,9 @@ with F'(P) = -G^(-3/2)/2 and G = P (1 + eps P/4) from the action's pair
 kernel.  At eps = 0 this is Newton's sum of (p_j - p)/|p_j - p|^3.  No
 power of R appears, so the residual stays finite for any R.  Because all
 bodies follow the same curve, the residual is computed for body 0 only.
+Its node values, scales, separations and feasibility tests are those of
+the action's node state (action._NodeState) on the residual's grid; only
+p'' takes a second transform.
 """
 
 from __future__ import annotations
@@ -31,18 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .action import (
-    CollisionError,
-    Configuration,
-    _collided,
-    _out_of_disk,
-    _pair_kernel,
-    _scale,
-    _separations_squared,
-    _transform,
-    evaluate,
-)
-from .geometry import OutOfDiskError
+from . import geometry
+from .action import CollisionError, Configuration, _NodeState, evaluate
 from .trigpath import TrigPath, nodes, pack_vars
 
 __all__ = [
@@ -85,45 +78,29 @@ class SolveReport:
         return self.phase2 if self.phase2 is not None else self.phase1
 
 
-def _shifted_values(path: TrigPath, config: Configuration, count: int) -> np.ndarray:
-    """Node values of the path at t + 2*pi*j/n, row j for j = 0..n-1, on
-    `count` nodes."""
-    phases = _transform(path.K, False).shift_phases(config.n)
-    shifted = [path] + [TrigPath(sig * path.coeffs) for sig in phases]
-    return np.array([copy.at_nodes(count).values for copy in shifted])
-
-
 def path_residual(path: TrigPath, config: Configuration, node_count: int | None = None) -> float:
     """Relative 2-norm of the equations-of-motion defect for body 0.
 
-    The defect p'' - (rest of the equation) is evaluated on the path's own
-    2K+1 nodes (or `node_count` nodes) and normalized by the 2-norm of p''
-    on the same grid, so the scale sigma of p = sigma q cancels.  Raises
-    OutOfDiskError and CollisionError on the action's own tests.
+    The defect p'' - (rest of the equation) is evaluated on the action's
+    node state (see action._NodeState) on the path's own 2K+1 nodes (or
+    `node_count` nodes) and normalized by the 2-norm of p'' on the same
+    grid, so the scale sigma of p = sigma q cancels.  Raises OutOfDiskError
+    and CollisionError on the action's own tests.
     """
     N = node_count if node_count is not None else 2 * path.K + 1
     if N < 2 * path.K + 1:
         raise ValueError("residual grid must resolve the path")
     w = config.omega
-    eps = (1 / config.R) ** 2
-    p_path = TrigPath(config.sigma * path.coeffs)
-    z = _shifted_values(p_path, config, N)
-    p = z[0]
-    if _out_of_disk(p, eps):
-        raise OutOfDiskError("trajectory leaves the disk")
-    a = _scale(z, eps)
-    P = _separations_squared(z, a)
-    if _collided(P):
-        raise CollisionError("colliding bodies in residual evaluation")
-    d1 = p_path.derivative()
-    vel = d1.at_nodes(N).values
-    acc = d1.derivative().at_nodes(N).values
+    pc = config.sigma * path.coeffs
+    state = _NodeState(pc, config, M=N)
+    state.check()
+    sp, p, v, a, P = state.sp, state.p, state.u, state.a[0], state.seps_sq
+    vel = v - 1j * w * p
+    acc = sp.values(-(sp.k * sp.k) * pc)
 
-    v = vel + 1j * w * p
-    kappa = 0.25 * eps * np.conj(p) / a[0]
-    Fp = _pair_kernel(P, eps)[1]
-    pair = np.sum(Fp * P * (1.0 / np.conj(p - z[1:]) + np.conj(kappa)), axis=0)
-    rhs = -2j * w * vel + w * w * p - 2.0 * kappa * v * v + 2.0 * a[0] ** 2 * pair
+    kappa = 0.25 * state.eps * np.conj(p) / a
+    pair = np.sum(state.kernels[1] * P * (1.0 / np.conj(p - state.pj) + np.conj(kappa)), axis=0)
+    rhs = -2j * w * vel + w * w * p - 2.0 * kappa * v * v + 2.0 * a ** 2 * pair
 
     scale = float(np.linalg.norm(acc))
     if scale == 0.0:
@@ -194,7 +171,7 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
         gradient = gradient_rel_norm(choreo.path, choreo.config)
         if not gradient <= thr.gradient:
             failures.append(f"gradient norm {gradient:.3e} is not within bound {thr.gradient:.3e}")
-    except (CollisionError, OutOfDiskError) as exc:
+    except (CollisionError, geometry.OutOfDiskError) as exc:
         failures.append(f"gradient unavailable: {exc}")
 
     residual = None
@@ -202,7 +179,7 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
         residual = path_residual(choreo.path, choreo.config)
         if not residual <= thr.residual:
             failures.append(f"motion residual {residual:.3e} is not within bound {thr.residual:.3e}")
-    except (CollisionError, OutOfDiskError) as exc:
+    except (CollisionError, geometry.OutOfDiskError) as exc:
         failures.append(f"residual unavailable: {exc}")
 
     return VerificationResult(
@@ -232,7 +209,6 @@ def extrinsic_residual(choreo, oversample: int = 4) -> float:
         raise ValueError("extrinsic residual is defined for the disk problem only")
     if config.omega != 0.0:
         raise ValueError("extrinsic residual requires a non-rotating frame")
-    from . import geometry
 
     R = config.R
     N = oversample * (2 * path.K + 1) + 1

@@ -224,6 +224,16 @@ class TestStackedEvaluation:
         evaluate(x, config, order=2)
         assert len(calls) == 4
 
+    def test_precise_gradient_builds_no_hessian_tables(self):
+        config = Configuration(n=3, R=1.5, K=13)
+        x = feasible_point(config, np.random.default_rng(53))
+        evaluate(x, config, order=1, precise=True)
+        built = vars(_transform(config.K, True))
+        assert "_hidx" not in built and "_tidx" not in built
+        evaluate(x, config, order=2)
+        built = vars(_transform(config.K, False))
+        assert "_hidx" in built and "_tidx" in built
+
     @staticmethod
     def _fresh(x, config, order):
         """An evaluation that cannot reuse a kept state: another point comes between."""
@@ -383,6 +393,9 @@ class TestConfigurationValidation:
             Configuration(n=3, R=-1.0, K=3)
         with pytest.raises(ValueError):
             Configuration(n=3, R=1.0, K=0)
+        for omega in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega"):
+                Configuration(n=3, R=1.0, K=3, omega=omega)
 
     def test_derived_sizes(self):
         config = Configuration(n=3, R=1.5, K=27)

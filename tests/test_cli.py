@@ -204,10 +204,15 @@ class TestSweep:
         ["search", "--n", "2", "--R", "1.5", "--K", "4", "--rng", "-1"],
         ["search", "--n", "2", "--R", "1.5", "--K", "4", "--trials", "-3"],
         ["solve", "--n", "2", "--R", "20", "--K", "4", "--seed", "-2"],
+        ["solve", "--n", "3", "--R", "1.5", "--K", "5", "--omega", "nan", "--seed", "0"],
+        ["solve", "--n", "3", "--R", "1.5", "--K", "5", "--omega", "inf", "--seed", "0"],
+        ["search", "--n", "2", "--R", "1.5", "--K", "4", "--omega", "nan"],
+        ["search", "--n", "2", "--R", "1.5", "--K", "4", "--omega", "inf"],
     ],
     ids=[
         "samples_0", "K2_below_K", "n_1", "modes_0", "search_K_0", "sweep_K_0",
         "search_rng_negative", "search_trials_negative", "seed_negative",
+        "solve_omega_nan", "solve_omega_inf", "search_omega_nan", "search_omega_inf",
     ],
 )
 def test_bad_integer_argument_exit_2(argv, capsys):

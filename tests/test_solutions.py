@@ -133,6 +133,32 @@ class TestMalformed:
         del doc["config"]["omega"]
         assert solution_from_dict(doc).config.omega == 0.0
 
+    def test_nan_omega_file_rejected(self, tmp_path):
+        doc = valid_document()
+        doc["config"]["omega"] = math.nan
+        target = tmp_path / "nan_omega.json"
+        target.write_text(json.dumps(doc))
+        with pytest.raises(MalformedSolutionError, match="omega"):
+            load_solution(target)
+
+
+class TestPhaseRecordFields:
+    def test_converged_is_optional(self):
+        doc = valid_document()
+        del doc["diagnostics"]["phase1"]["converged"]
+        assert solution_from_dict(doc).report.phase1.converged is True
+
+    def test_action_is_required(self):
+        doc = valid_document()
+        del doc["diagnostics"]["phase2"]["action"]
+        with pytest.raises(MalformedSolutionError, match="action"):
+            solution_from_dict(doc)
+
+    def test_unknown_key_ignored(self):
+        doc = valid_document()
+        doc["diagnostics"]["phase2"]["note"] = "extra"
+        assert solution_from_dict(doc).report.phase2 == sample_choreo().report.phase2
+
 
 class TestBundled:
     def test_names_present(self):

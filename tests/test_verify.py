@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hypchoreo.action import CollisionError, Configuration
+from hypchoreo.action import CollisionError, Configuration, pairwise_separations
+from hypchoreo.geometry import OutOfDiskError
 from hypchoreo.optimizer import random_seed, solve
 from hypchoreo.trigpath import TrigPath, pack_vars, rotate_vars, shift_vars, unpack_vars
 from hypchoreo.verify import (
@@ -112,6 +113,30 @@ class TestResidualProperties:
         path = random_seed(config, rng_seed=1)
         with pytest.raises(ValueError):
             path_residual(path, config, node_count=2 * config.K)
+
+    @pytest.mark.parametrize("config", CIRCLE_CONFIGS[:2], ids=["n3", "n5"])
+    def test_two_iffts_per_call(self, config, monkeypatch):
+        # One stacked transform for the node state, one for p''.
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        path_residual(circle_path(0.5, config.K), config)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("c", [[0, 0, 0, 1.5001, 0], [0, 0, 0.2, 0, 0]], ids=["out_of_disk", "collided"])
+    def test_infeasible_errors_are_the_actions(self, c):
+        config = Configuration(n=2, R=1.5, K=2)
+        path = TrigPath(np.array(c, dtype=complex))
+        with pytest.raises((CollisionError, OutOfDiskError)) as want:
+            pairwise_separations(path, config)
+        with pytest.raises(want.type) as got:
+            path_residual(path, config)
+        assert str(got.value) == str(want.value)
 
     def test_collision_raises(self):
         config = Configuration(n=2, R=1.5, K=2)
