@@ -37,11 +37,18 @@ Derivative assembly: every integrand is a pointwise function of node
 values y = E c under linear maps E (evaluation, time shift, velocity).
 First derivatives pull back through E^T; second derivatives need the node
 -diagonal forms E^T diag(d) E and E^T diag(d) conj(E), which on a uniform
-grid are a Hankel and a Toeplitz matrix read off the FFT of d.  Each
-Hessian therefore costs O(n (M log M + K^2)) instead of O(n K^2 M).
+grid are a Hankel and a Toeplitz matrix read off the FFT of d.  A pair's
+blocks are framed by its shift phases w_j^k, w_j = exp(2 pi i j / n).
+Since the signed indices k + l and k - l stay within 2K < M/2, the phases
+fold into the FFT of d, so the blocks of all pairs sum into one Hankel
+and one Toeplitz source; the cross blocks keep a factor w_j^-k that sees
+k only through k mod n, and an n-point DFT over the pairs turns them into
+n source rows, row k mod n feeding row k.  One Hessian thus makes four
+nc x nc gathers for any n (two of them for the kinetic Toeplitz blocks)
+and costs O(n M log M + K^2) instead of O(n K^2 M); the DFT adds n^2 M.
 Only the symmetric part of the holomorphic block and the Hermitian part
-of the mixed block count, so each mirrored pair of terms is added once,
-doubled.
+of the mixed block count, so each is gathered as a half whose mirror
+completes it, and a term already symmetric at half weight.
 Each stage stacks its rows into one inverse FFT along the last axis: the
 node values of p, its velocity and the n-1 shifted copies; the kinetic
 and pair rows of the gradient pull-back; the Hankel and Toeplitz sources
@@ -168,12 +175,20 @@ class _Spectral:
     values:    node values of sum_k c_k exp(i k t_m)
     transform: f_r = sum_m d_m exp(+i r t_m), r = 0..M-1
     adjoint:   (E^T g)_k      = sum_m g_m exp(+i k t_m)
-    hank:      (E^T D E)_kl   = sum_m d_m exp(+i (k+l) t_m), from f = transform(d)
-    toep:      (E^T D Ebar)_kl = sum_m d_m exp(+i (k-l) t_m), from f = transform(d)
-        (their (2K+1)^2 index tables are built on first use, by a Hessian)
     shift_phases: exp(2 pi i j k / n), row j-1 for j = 1..n-1, the factors
         that turn the coefficients of q(t) into those of q(t + 2 pi j / n);
         computed once per n and read-only
+    fold:      the Hessian's tables for n bodies, built once per n on first
+        use (by a Hessian; needs M > 4K):
+        hank, toep: gather tables (k mod n) M + (k +- l) mod M, so that
+            F.flat[hank] with F[c] = f for every c is the Hankel matrix
+            (E^T D E)_kl = f_(k+l), and F.flat[toep] the Toeplitz matrix
+            (E^T D Ebar)_kl = f_(k-l), from f = transform(d); a source
+            whose rows differ gathers row k mod n into row k
+        phases: w_j^r, w_j = exp(2 pi i j / n), at the signed index
+            r = k +- l of every slot, row j-1 for j = 1..n-1
+        dft:    w^(-j c), row c = 0..n-1, column j-1 for j = 1..n-1
+        r:      the signed index of every slot, in the transform's dtype
     """
 
     def __init__(self, K: int, M: int, real):
@@ -185,14 +200,7 @@ class _Spectral:
         self.k = k.astype(real)
         self._kmod = k % M
         self._phases: dict[int, np.ndarray] = {}
-
-    @functools.cached_property
-    def _hidx(self) -> np.ndarray:
-        return (self._kmod[:, None] + self._kmod[None, :]) % self.M
-
-    @functools.cached_property
-    def _tidx(self) -> np.ndarray:
-        return (self._kmod[:, None] - self._kmod[None, :]) % self.M
+        self._folds: dict[int, tuple[np.ndarray, ...]] = {}
 
     def values(self, c: np.ndarray) -> np.ndarray:
         spectrum = np.zeros(c.shape[:-1] + (self.M,), dtype=np.result_type(self.real, 1j))
@@ -205,18 +213,37 @@ class _Spectral:
     def adjoint(self, d: np.ndarray) -> np.ndarray:
         return self.transform(d)[..., self._kmod]
 
-    def hank(self, f: np.ndarray) -> np.ndarray:
-        return f[self._hidx]
-
-    def toep(self, f: np.ndarray) -> np.ndarray:
-        return f[self._tidx]
-
     def shift_phases(self, n: int) -> np.ndarray:
         if n not in self._phases:
             phases = np.array([np.exp(2j * self.pi * j * self.k / n) for j in range(1, n)])
             phases.flags.writeable = False
             self._phases[n] = phases
         return self._phases[n]
+
+    def fold(self, n: int) -> tuple[np.ndarray, ...]:
+        """(hank, toep, phases, dft, r) for n bodies; see the class docstring."""
+        if n not in self._folds:
+            K, M = self.k.size // 2, self.M
+            # Slot m of a transform holds the signed index r = m or m - M;
+            # k + l and k - l lie in [-2K, 2K], one slot each only if M > 4K.
+            if M <= 4 * K:
+                raise ValueError(f"Hessian tables need M > 4K nodes, got M = {M} for K = {K}")
+            r = np.arange(M)
+            r[r > M // 2] -= M
+            rows = (np.arange(-K, K + 1) % n * M)[:, None]
+            kmod = self._kmod
+            hank = rows + (kmod[:, None] + kmod[None, :]) % M
+            toep = rows + (kmod[:, None] - kmod[None, :]) % M
+            # Exponents reduced mod n first, so every phase is exact to rounding.
+            roots = np.exp(2j * self.pi * np.arange(n) / n)
+            j = np.arange(1, n)
+            phases = roots[j[:, None] * r[None, :] % n]
+            dft = roots[-np.arange(n)[:, None] * j[None, :] % n]
+            tables = (hank, toep, phases, dft, r.astype(self.real))
+            for table in tables:
+                table.flags.writeable = False
+            self._folds[n] = tables
+        return self._folds[n]
 
 
 @functools.lru_cache(maxsize=32)
@@ -370,6 +397,36 @@ def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
     return gradient, (kappa, dp, a0, a1, Pa, Pb)
 
 
+def _second_order(state: _NodeState, kappa, dp, a0, a1, Pa, Pb) -> tuple[tuple, tuple]:
+    """Node values of the second Wirtinger derivatives, unweighted, from the
+    first-order terms of _first_order.
+
+    Kinetic: (lam, f1, f2, f3, f4), the sources of the blocks
+    dw toep(lam) dwc, hank(f1), 2 hank(f2) dw, toep(f3) and 2 toep(f4) dwc.
+    Pairs: (A00, A01, A11, B00, B01, B11), each (n-1, M), of d^2 F / dz_a dz_b
+    (A) and d^2 F / dz_a dzbar_b (B) with z_0 = p and z_1 = p_j.
+    """
+    h = 0.25 * state.eps / (state.a * state.a)  # d kappa / dzbar, by row of z
+    P, (_, Fp, Fpp) = state.seps_sq, state.kernels
+    lam, uu = state.lam, state.uu
+
+    # Kinetic second derivatives of lam |u|^2 in p and u, from d lam / dp =
+    # m = 2 lam kappa, d kappa / dp = kappa^2 and d kappa / dpbar = h.
+    k0 = kappa[0]
+    m = 2.0 * lam * k0
+    f_ppb = (2.0 * np.conj(k0) * m + 2.0 * lam * h[0]) * uu
+    kinetic = (lam, 3.0 * k0 * m * uu, m * np.conj(state.u), f_ppb, m * state.u)
+
+    winv2 = 1.0 / (dp * dp)
+    A00 = Fpp * Pa * Pa + Fp * P * (a0 * a0 - winv2 + k0 * k0)
+    A01 = Fpp * Pa * Pb + Fp * P * (a0 * a1 + winv2)
+    A11 = Fpp * Pb * Pb + Fp * P * (a1 * a1 - winv2 + kappa[1:] * kappa[1:])
+    B00 = Fpp * np.abs(Pa) ** 2 + Fp * P * (np.abs(a0) ** 2 + h[0])
+    B01 = Fpp * Pa * np.conj(Pb) + Fp * P * (a0 * np.conj(a1))
+    B11 = Fpp * np.abs(Pb) ** 2 + Fp * P * (np.abs(a1) ** 2 + h[1:])
+    return kinetic, (A00, A01, A11, B00, B01, B11)
+
+
 def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) -> ActionEvaluation:
     """Action value and, for order >= 1/2, its exact gradient/Hessian.
 
@@ -400,7 +457,7 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
         gradient = sigma * _first_order(_NodeState(p, config, precise=True))[0]
         if order < 2:
             return ActionEvaluation(value, gradient)
-    fast_gradient, (kappa, dp, a0, a1, Pa, Pb) = _first_order(state)
+    fast_gradient, first = _first_order(state)
     if not precise:
         gradient = sigma * fast_gradient
     if order < 2:
@@ -410,52 +467,49 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     # Hessian of sum f(y, ybar) with y = E c is assembled from
     #   dx' H dx = 2 Re(dc' T dc) + 2 dc' Wm conj(dc).
     # Only the symmetric part of T and the Hermitian part of Wm count, so
-    # a term X + X' is added as 2X.  Every Hankel/Toeplitz source row goes
-    # through one stacked transform; the nc x nc blocks are gathered and
-    # added one at a time.
-    sp, w, dw, uu, lam = state.sp, state.w, state.dw, state.uu, state.lam
-    h = 0.25 * state.eps / (state.a * state.a)  # d kappa / dzbar, by row of z
-    P, (_, Fp, Fpp) = state.seps_sq, state.kernels
-    dwc = np.conj(dw)
+    # they are gathered as halves, 2 sigma^2 T = Th + Th' and 2 sigma^2 Wm =
+    # Wh + Wh^H; the power of two 2 sigma^2 goes, exactly, into the weights.
+    sp, dw = state.sp, state.dw
+    hank, toep, phases, dft, r = sp.fold(config.n)
+    (lam, f1, f2, f3, f4), (A00, A01, A11, B00, B01, B11) = _second_order(state, *first)
+    w = sigma * sigma * state.w
 
-    # Kinetic second derivatives of lam |u|^2 in p and u, from d lam / dp =
-    # m = 2 lam kappa, d kappa / dp = kappa^2 and d kappa / dpbar = h.
-    k0 = kappa[0]
-    m = 2.0 * lam * k0
-    f_ppb = (2.0 * np.conj(k0) * m + 2.0 * lam * h[0]) * uu
-    rows = [w * f for f in (lam, 3.0 * k0 * m * uu, m * np.conj(state.u), f_ppb, m * state.u)]
+    # The pair blocks fold over the shifts (module docstring): at the signed
+    # index r, sigma_j,k hank(f) sigma_j,l = hank(f w_j^r) sums over j into
+    # one source, and hank(f) sigma_j,l = w_j^-k hank(f w_j^r) into row
+    # k mod n of an n-point DFT over j; Toeplitz blocks likewise, with the
+    # conjugate on the right.  The symmetric part of 2 hank(f2) diag(dw) is
+    # hank(f2 i (r + 2 omega)).  Every source goes through one transform.
+    f = sp.transform(np.vstack((
+        w * lam, 2.0 * w * f4, w * f2,
+        w * (f1 + np.sum(A00, axis=0)), w * (f3 + np.sum(B00, axis=0)),
+        w * A11, w * B11, 2.0 * w * A01, 2.0 * w * B01,
+    )))
+    f11, g11, f01, g01 = f[5:].reshape(4, config.n - 1, -1) * phases
+    hank_source = dft @ f01 + (f[3] + np.sum(f11, axis=0) + 1j * (r + 2.0 * config.omega) * f[2])
+    toep_source = dft @ g01 + (f[4] + np.sum(g11, axis=0))
 
-    # Pair second derivatives, one row per pair in each (n-1, M) array.
-    winv2 = 1.0 / (dp * dp)
-    A00 = Fpp * Pa * Pa + Fp * P * (a0 * a0 - winv2 + k0 * k0)
-    A01 = Fpp * Pa * Pb + Fp * P * (a0 * a1 + winv2)
-    A11 = Fpp * Pb * Pb + Fp * P * (a1 * a1 - winv2 + kappa[1:] * kappa[1:])
-    B00 = Fpp * np.abs(Pa) ** 2 + Fp * P * (np.abs(a0) ** 2 + h[0])
-    B01 = Fpp * Pa * np.conj(Pb) + Fp * P * (a0 * np.conj(a1))
-    B11 = Fpp * np.abs(Pb) ** 2 + Fp * P * (np.abs(a1) ** 2 + h[1:])
-    rows += [w * A01, w * A00, w * A11, w * B00, w * B01, w * B11]
-
-    f = sp.transform(np.vstack(rows))
-    Wm = dw[:, None] * sp.toep(f[0]) * dwc[None, :]
-    T = sp.hank(f[1]) + 2.0 * sp.hank(f[2]) * dw[None, :]
-    Wm += sp.toep(f[3])
-    Wm += 2.0 * sp.toep(f[4]) * dwc[None, :]
-
-    for f01, f00, f11, g00, g01, g11, sig in zip(*np.split(f[5:], 6), state.sigmas):
-        sigc = np.conj(sig)
-        T += sp.hank(f00)
-        T += 2.0 * sp.hank(f01) * sig[None, :]
-        T += sig[:, None] * sp.hank(f11) * sig[None, :]
-        Wm += sp.toep(g00)
-        Wm += 2.0 * sp.toep(g01) * sigc[None, :]
-        Wm += sig[:, None] * sp.toep(g11) * sigc[None, :]
-
-    T = 0.5 * (T + T.T)
-    Wm = 0.5 * (Wm + Wm.conj().T)
-    Haa = 2.0 * (T.real + Wm.real)
-    Hbb = 2.0 * (Wm.real - T.real)
-    Hab = 2.0 * (Wm.imag - T.imag)
-    hessian = sigma * sigma * np.block([[Haa, Hab], [Hab.T, Hbb]])
+    # Four gathers for any n: the two kinetic Toeplitz sources, broadcast
+    # to n rows, and the two folded sources; in place, so that few nc x nc
+    # arrays are alive at once.
+    kinetic = np.tile(f[:2], config.n)
+    Wh = np.take(kinetic[0], toep)
+    Wh *= dw[:, None]
+    Wh += np.take(kinetic[1], toep)
+    Wh *= np.conj(dw)
+    Wh += np.take(toep_source, toep)
+    Th = np.take(hank_source, hank)
+    S = Wh + Th
+    D = np.subtract(Wh, Th, out=Wh)
+    del Th
+    # With S = Wh + Th and D = Wh - Th, the real blocks are
+    #   H_aa = Re S + Re S',  H_bb = Re D + Re D',  H_ab = Im D - Im S',
+    # and H_ba = H_ab', so the Hessian is exactly symmetric.
+    hessian = np.empty((2 * nc, 2 * nc))
+    np.add(S.real, S.real.T, out=hessian[:nc, :nc])
+    np.add(D.real, D.real.T, out=hessian[nc:, nc:])
+    np.subtract(D.imag, S.imag.T, out=hessian[:nc, nc:])
+    hessian[nc:, :nc] = hessian[:nc, nc:].T
     return ActionEvaluation(value, gradient, hessian)
 
 

@@ -17,9 +17,14 @@ from hypchoreo.action import (
     hyperboloid_energies,
     pairwise_separations,
     quadrature_size,
+    _coefficients,
+    _first_order,
+    _NodeState,
+    _second_order,
     _transform,
 )
 from hypchoreo.optimizer import random_seed
+from hypchoreo.solutions import bundled_names, load_bundled
 from hypchoreo.trigpath import TrigPath, nodes, pack_vars, rotate_vars, shift_vars
 
 
@@ -70,6 +75,47 @@ FD_CONFIGS = [
 def feasible_point(config, rng):
     x = pack_vars(random_seed(config, modes=min(5, config.K), rng_seed=int(rng.integers(1 << 20))))
     return x + 0.005 * rng.standard_normal(x.size)
+
+
+def pair_by_pair_hessian(x, config):
+    """The Hessian assembled block by block: every pair's six Hankel and
+    Toeplitz blocks gathered on their own from (k +- l) mod M tables and
+    framed by that pair's shift phases, 6(n-1) + 4 gathers in all.  The
+    slow reference for evaluate's assembly, which folds the pairs."""
+    state = _NodeState(_coefficients(x, config), config)
+    _, first = _first_order(state)
+    kinetic, pairs = _second_order(state, *first)
+    sp, w, dw = state.sp, state.w, state.dw
+    dwc = np.conj(dw)
+    kmod = np.arange(-config.K, config.K + 1) % sp.M
+
+    def hank(f):
+        return f[(kmod[:, None] + kmod[None, :]) % sp.M]
+
+    def toep(f):
+        return f[(kmod[:, None] - kmod[None, :]) % sp.M]
+
+    A00, A01, A11, B00, B01, B11 = pairs
+    f = sp.transform(np.vstack([w * row for row in kinetic] + [w * A01, w * A00, w * A11, w * B00, w * B01, w * B11]))
+    Wm = dw[:, None] * toep(f[0]) * dwc[None, :]
+    T = hank(f[1]) + 2.0 * hank(f[2]) * dw[None, :]
+    Wm += toep(f[3])
+    Wm += 2.0 * toep(f[4]) * dwc[None, :]
+    for f01, f00, f11, g00, g01, g11, sig in zip(*np.split(f[5:], 6), state.sigmas):
+        sigc = np.conj(sig)
+        T += hank(f00)
+        T += 2.0 * hank(f01) * sig[None, :]
+        T += sig[:, None] * hank(f11) * sig[None, :]
+        Wm += toep(g00)
+        Wm += 2.0 * toep(g01) * sigc[None, :]
+        Wm += sig[:, None] * toep(g11) * sigc[None, :]
+
+    T = 0.5 * (T + T.T)
+    Wm = 0.5 * (Wm + Wm.conj().T)
+    Haa = 2.0 * (T.real + Wm.real)
+    Hbb = 2.0 * (Wm.real - T.real)
+    Hab = 2.0 * (Wm.imag - T.imag)
+    return config.sigma ** 2 * np.block([[Haa, Hab], [Hab.T, Hbb]])
 
 
 class TestQuadratureSize:
@@ -154,6 +200,30 @@ class TestDerivatives:
         assert np.array_equal(e1.gradient, e2.gradient)
         assert e0.gradient is None and e1.hessian is None
 
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_hessian_matches_pair_by_pair_assembly_bundled(self, name):
+        choreo = load_bundled(name)
+        x = pack_vars(choreo.path)
+        H = action_hessian(x, choreo.config)
+        assert float(np.max(np.abs(H - pair_by_pair_hessian(x, choreo.config)))) <= 1e-14 * float(np.max(np.abs(H)))
+
+    @pytest.mark.parametrize(
+        "config",
+        FD_CONFIGS + [
+            # One pair; n > 2K + 1, so several k share k mod n; rotating flat.
+            Configuration(n=2, R=1.5, K=4),
+            Configuration(n=7, R=3.0, K=2),
+            Configuration(n=6, R=math.inf, K=5, omega=-1.1),
+        ],
+    )
+    def test_hessian_matches_pair_by_pair_assembly(self, config):
+        rng = np.random.default_rng(46)
+        for _ in range(2):
+            x = feasible_point(config, rng)
+            H = action_hessian(x, config)
+            assert np.all(np.isfinite(H))
+            assert float(np.max(np.abs(H - pair_by_pair_hessian(x, config)))) <= 1e-14 * float(np.max(np.abs(H)))
+
     @pytest.mark.parametrize("config", FD_CONFIGS)
     def test_precise_gradient_agrees(self, config):
         rng = np.random.default_rng(45)
@@ -228,11 +298,16 @@ class TestStackedEvaluation:
         config = Configuration(n=3, R=1.5, K=13)
         x = feasible_point(config, np.random.default_rng(53))
         evaluate(x, config, order=1, precise=True)
-        built = vars(_transform(config.K, True))
-        assert "_hidx" not in built and "_tidx" not in built
+        assert _transform(config.K, True)._folds == {}
         evaluate(x, config, order=2)
-        built = vars(_transform(config.K, False))
-        assert "_hidx" in built and "_tidx" in built
+        assert config.n in _transform(config.K, False)._folds
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_hessian_tables_need_more_than_4k_nodes(self, n):
+        # On M <= 4K nodes, k + l and k - l no longer have one slot each.
+        with pytest.raises(ValueError, match="M > 4K"):
+            _transform(6, False, 24).fold(n)
+        assert len(_transform(6, False, 25).fold(n)[0]) == 13
 
     @staticmethod
     def _fresh(x, config, order):
