@@ -176,8 +176,9 @@ class _Spectral:
     transform: f_r = sum_m d_m exp(+i r t_m), r = 0..M-1
     adjoint:   (E^T g)_k      = sum_m g_m exp(+i k t_m)
     shift_phases: exp(2 pi i j k / n), row j-1 for j = 1..n-1, the factors
-        that turn the coefficients of q(t) into those of q(t + 2 pi j / n);
-        computed once per n and read-only
+        that turn the coefficients of q(t) into those of q(t + 2 pi j / n),
+        read off the n-th roots of unity at (j k) mod n; computed once per
+        n and read-only
     fold:      the Hessian's tables for n bodies, built once per n on first
         use (by a Hessian; needs M > 4K):
         hank, toep: gather tables (k mod n) M + (k +- l) mod M, so that
@@ -213,9 +214,15 @@ class _Spectral:
     def adjoint(self, d: np.ndarray) -> np.ndarray:
         return self.transform(d)[..., self._kmod]
 
+    def _roots(self, n: int) -> np.ndarray:
+        """The n-th roots of unity exp(2 pi i m / n), m = 0..n-1, in the
+        transform's dtype; exponents reduced mod n index them, so every
+        phase drawn from them is exact to rounding."""
+        return np.exp(2j * self.pi * np.arange(n, dtype=self.real) / n)
+
     def shift_phases(self, n: int) -> np.ndarray:
         if n not in self._phases:
-            phases = np.array([np.exp(2j * self.pi * j * self.k / n) for j in range(1, n)])
+            phases = self._roots(n)[np.arange(1, n)[:, None] * self.k.astype(int) % n]
             phases.flags.writeable = False
             self._phases[n] = phases
         return self._phases[n]
@@ -234,8 +241,7 @@ class _Spectral:
             kmod = self._kmod
             hank = rows + (kmod[:, None] + kmod[None, :]) % M
             toep = rows + (kmod[:, None] - kmod[None, :]) % M
-            # Exponents reduced mod n first, so every phase is exact to rounding.
-            roots = np.exp(2j * self.pi * np.arange(n) / n)
+            roots = self._roots(n)
             j = np.arange(1, n)
             phases = roots[j[:, None] * r[None, :] % n]
             dft = roots[-np.arange(n)[:, None] * j[None, :] % n]

@@ -8,12 +8,17 @@ quadratically to near machine precision in a handful of steps.
 
 Because the action is invariant under rotations of the disk and time
 shifts of the path (and under boosts for some configurations), its
-Hessian is singular along those directions at every minimizer.  Newton
-steps therefore go through an eigendecomposition H = V diag(lam) V^T and
-divide by max(|lam|, 1e-10 + 1e-12 ||H||): the floor only damps the
-pure-symmetry components of the step and leaves quadratic convergence in
-the remaining directions intact, and taking |lam| turns negative
-curvature into descent.
+Hessian is singular along those directions at every minimizer.  Each
+Newton step therefore solves with H shifted by tau I, tau = 1e-10 +
+1e-12 ||H||_1, factored by Cholesky (the modified Newton step of Nocedal
+and Wright, section 3.4): the shift only damps the pure-symmetry
+components of the step and leaves quadratic convergence in the remaining
+directions intact.  Only when the factorization fails, because H has
+negative curvature beyond the shift, does the step go through an
+eigendecomposition H = V diag(lam) V^T and divide by max(|lam|, 1e-10 +
+1e-12 max|lam|), which turns negative curvature into descent; Phase 2's
+message counts those steps and their index, the number of eigenvalues
+below minus the floor.
 
 Newton stops when the relative gradient norm reaches the tolerance or
 the rounding floor that float64 coefficients put under it, estimated
@@ -58,8 +63,10 @@ _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
 
-# Absolute part of the Newton eigenvalue floor protecting the gauge null
-# modes; a relative part 1e-12 ||H|| is always added.
+# Absolute part of the Newton step's floor under the gauge null modes: the
+# diagonal shift of the Cholesky step, and the eigenvalue floor of the
+# eigh step it falls back to on negative curvature.  A relative part
+# 1e-12 ||H|| is always added.
 _EIGENVALUE_FLOOR = 1e-10
 
 
@@ -119,7 +126,10 @@ class PhaseResult:
     values and gradient_norms log every accepted iterate, starting with
     the initial point; failed marks line-search failure (Phase 1) or
     divergence or an infeasible step (Phase 2), with the best iterate
-    returned either way.  Phase 2 names its verdict in message.
+    returned either way.  Phase 2 names its verdict in message, and
+    curvature_indices holds the index of every Newton step it formed: the
+    number of Hessian eigenvalues below minus the floor, 0 for a Cholesky
+    step.
     """
 
     x: np.ndarray
@@ -131,6 +141,7 @@ class PhaseResult:
     message: str = ""
     values: list[float] = field(default_factory=list)
     gradient_norms: list[float] = field(default_factory=list)
+    curvature_indices: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -266,6 +277,35 @@ def phase1_bfgs(x0, config: Configuration, options: Phase1Options | None = None)
     )
 
 
+def _newton_step(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, int]:
+    """Newton step -H^-1 g under the gauge floor, and its index.
+
+    Solves (H + tau I) s = -g with tau = _EIGENVALUE_FLOOR + 1e-12 ||H||_1
+    (||H||_1 >= max|lam|, so tau is never below the eigh floor) when that
+    matrix has a Cholesky factor; the index is then 0.  Otherwise H has
+    negative curvature, and the step is the saddle-free eigh step, which
+    divides by max(|lam|, _EIGENVALUE_FLOOR + 1e-12 max|lam|); the index
+    counts the eigenvalues below minus that floor.  H is shifted in place,
+    not copied, and comes back bit for bit.
+    """
+    diagonal = H.diagonal().copy()
+    H.flat[:: H.shape[0] + 1] += _EIGENVALUE_FLOOR + 1e-12 * float(np.linalg.norm(H, 1))
+    try:
+        np.linalg.cholesky(H)
+        return np.linalg.solve(H, -g), 0
+    except np.linalg.LinAlgError:
+        pass
+    finally:
+        np.fill_diagonal(H, diagonal)
+    lam, vecs = np.linalg.eigh(H)
+    lam_floor = _EIGENVALUE_FLOOR + 1e-12 * float(np.max(np.abs(lam)))
+    # Saddle-free step: descend along negative-curvature directions by
+    # their magnitude, and floor the gauge-symmetry null modes so their
+    # noise components produce no step to speak of.
+    lam_eff = np.maximum(np.abs(lam), lam_floor)
+    return -vecs @ ((vecs.T @ g) / lam_eff), int(np.count_nonzero(lam < -lam_floor))
+
+
 def phase2_newton(x0, config: Configuration, options: Phase2Options | None = None) -> PhaseResult:
     """Regularized Newton iteration with the exact Hessian and a floor-aware stop.
 
@@ -278,8 +318,9 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
     toward divergence.  A relative gradient that grows above the floor on
     two consecutive steps stops the run as failed, as does a step that
     finds no feasible decrease; both return the best iterate seen.  The
-    message of the result names the verdict, and iterations counts the
-    Newton steps taken.
+    message of the result names the verdict, and the steps that met
+    negative curvature when there were any; iterations counts the Newton
+    steps taken.
     """
     opts = options if options is not None else Phase2Options()
     x = np.array(x0, dtype=float)
@@ -293,11 +334,18 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
     best = (grel, x.copy(), f)
     floor = 0.0
     growth_streak = 0
+    indices: list[int] = []
 
     def result(x, f, grel, steps, converged, message, failed=False):
+        negative = sum(index > 0 for index in indices)
+        if negative:
+            message += (
+                f"; {negative} of {len(indices)} steps met negative curvature"
+                f" (max index {max(indices)})"
+            )
         return PhaseResult(
             x, f, grel, steps, converged, failed=failed, message=message,
-            values=values, gradient_norms=gnorms,
+            values=values, gradient_norms=gnorms, curvature_indices=indices,
         )
 
     at_tolerance = f"converged at tolerance {opts.gradient_tolerance:.1e}"
@@ -309,14 +357,9 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
         floor = np.finfo(float).eps * float(np.linalg.norm(np.abs(H) @ np.abs(x))) / float(np.linalg.norm(x))
         if grel <= floor:
             return result(x, f, grel, iteration, True, f"converged at the rounding floor {floor:.2e}")
-        lam, vecs = np.linalg.eigh(H)
-        h_norm = float(np.max(np.abs(lam)))
-        # Saddle-free step: descend along negative-curvature directions by
-        # their magnitude, and floor the gauge-symmetry null modes so their
-        # noise components produce no step to speak of.
-        lam_eff = np.maximum(np.abs(lam), _EIGENVALUE_FLOOR + 1e-12 * h_norm)
-        step = -vecs @ ((vecs.T @ g) / lam_eff)
-        del H, vecs  # free them before the next Hessian is assembled
+        step, index = _newton_step(H, g)
+        indices.append(index)
+        del H  # free it before the next Hessian is assembled
 
         # Halve the step while it leaves the feasible region or increases
         # the value; the tolerance leaves endgame steps alone, which reduce

@@ -270,9 +270,9 @@ class TestConvergenceRate:
 
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; a fresh interpreter shows what the
-    # package itself imports.  It imports the package from where this
-    # session found it, installed or not.
-    probe = "import sys, hypchoreo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # package and its command line import.  It imports the package from
+    # where this session found it, installed or not.
+    probe = "import sys, hypchoreo, hypchoreo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     where = str(Path(hypchoreo.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (where, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from hypchoreo.action import Configuration, action_value
+from hypchoreo.action import Configuration, action_value, evaluate
 from hypchoreo.optimizer import (
+    _EIGENVALUE_FLOOR,
     InfeasibleSeedError,
     Phase1Options,
     Phase2Options,
+    _newton_step,
     minimize_bfgs,
     phase2_newton,
     random_seed,
@@ -300,6 +302,66 @@ class TestSolvePlumbing:
             solve(config, TrigPath(c))
 
 
+def saddle_free_step(H, g):
+    """The eigh step: divide by max(|lam|, floor), with floor 1e-10 + 1e-12 max|lam|."""
+    lam, vecs = np.linalg.eigh(H)
+    lam_eff = np.maximum(np.abs(lam), _EIGENVALUE_FLOOR + 1e-12 * float(np.max(np.abs(lam))))
+    return -vecs @ ((vecs.T @ g) / lam_eff)
+
+
+class TestNewtonStep:
+    def test_cholesky_step_on_orbit_hessian(self, monkeypatch):
+        # The bundled figure-eight's Hessian is positive semidefinite with
+        # four gauge null modes.  For a gradient in its range, the shifted
+        # Cholesky step and the saddle-free step agree along the stiff
+        # directions; the shift tau ~ 1e-12 ||H|| moves them only by
+        # tau / lam there.  Along the null modes the gradient is rounding
+        # noise of about eps ||H||, which the shift keeps near eps / 1e-12
+        # of the step.  The shift is what lets Cholesky factor H, so the
+        # step must not reach eigh.
+        orbit = load_bundled("figure_eight")
+        H = evaluate(pack_vars(orbit.path), orbit.config, order=2).hessian
+        lam, vecs = np.linalg.eigh(H)
+        null = np.abs(lam) <= 1e-8 * np.max(lam)
+        assert np.sum(null) == 4
+        g = H @ np.random.default_rng(3).standard_normal(H.shape[0])
+        stiff = vecs[:, lam >= 0.1 * np.max(lam)]
+        expected = stiff.T @ saddle_free_step(H, g)
+
+        def no_eigh(_):
+            raise AssertionError("the Newton step fell back to eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        step, index = _newton_step(H, g)
+        assert index == 0
+        assert np.linalg.norm(stiff.T @ step - expected) <= 1e-10 * np.linalg.norm(expected)
+        assert np.max(np.abs(vecs[:, null].T @ step)) <= 1e-3 * np.linalg.norm(step)
+        assert float(g @ step) < 0.0
+
+    def test_negative_curvature_takes_the_eigh_step(self):
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        lam = np.array([-3.0, -1e-3, -1e-14, 0.0, 1e-14, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        H = (Q * lam) @ Q.T
+        H = 0.5 * (H + H.T)
+        g = rng.standard_normal(12)
+        step, index = _newton_step(H, g)
+        assert np.array_equal(step, saddle_free_step(H, g))
+        # -1e-14 lies inside the floor: a null mode, not negative curvature.
+        assert index == 2
+
+    @pytest.mark.parametrize("lowest", [-1.0, 1.0])
+    def test_hessian_comes_back_bit_for_bit(self, lowest):
+        rng = np.random.default_rng(11)
+        Q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+        H = (Q * np.linspace(lowest, 7.0, 9)) @ Q.T
+        H = 0.5 * (H + H.T)
+        saved = H.copy()
+        _, index = _newton_step(H, rng.standard_normal(9))
+        assert (index > 0) == (lowest < 0.0)
+        assert np.array_equal(H, saved)
+
+
 class TestPhase2Newton:
     def test_polishes_perturbed_circle(self):
         config = Configuration(n=3, R=1.8, K=8)
@@ -313,6 +375,25 @@ class TestPhase2Newton:
         assert out.value == pytest.approx(a_star, rel=1e-12)
         assert out.iterations <= 6
 
+    def test_names_negative_curvature(self):
+        # Off an orbit the gradient g is not zero, and the curvature along
+        # a symmetry direction A x is -g.(A^2 x), which can be negative:
+        # here the rotation and a boost curve downward, the first Newton
+        # steps meet negative curvature, and the verdict says so.
+        config = Configuration(n=3, R=1.8, K=8)
+        r_star, _ = best_circle(config)
+        c = np.zeros(17, dtype=complex)
+        c[9] = r_star
+        c[7] = 1e-3
+        out = phase2_newton(pack_vars(TrigPath(c)), config)
+        assert out.converged
+        indices = out.curvature_indices
+        assert len(indices) == out.iterations and indices[0] > 0
+        negative = sum(index > 0 for index in indices)
+        assert out.message.endswith(
+            f"; {negative} of {len(indices)} steps met negative curvature (max index {max(indices)})"
+        )
+
     @pytest.mark.parametrize("name", ["figure_eight", "five_body_c", "relative_c"])
     def test_tolerance_below_rounding_floor(self, name):
         # A converged orbit cannot reach 1e-16 in float64: its gradient is
@@ -322,6 +403,7 @@ class TestPhase2Newton:
         assert out.converged and not out.failed
         assert out.iterations <= 1
         assert "rounding floor" in out.message
+        assert "negative curvature" not in out.message
 
     def test_infeasible_start_raises(self):
         config = Configuration(n=2, R=1.5, K=2)
