@@ -173,7 +173,8 @@ class _Spectral:
     the digits it would get alone.
 
     values:    node values of sum_k c_k exp(i k t_m)
-    transform: f_r = sum_m d_m exp(+i r t_m), r = 0..M-1
+    transform: f_r = sum_m d_m exp(+i r t_m), r = 0..M-1, the unscaled
+        inverse FFT (norm="forward"), so no 1/M is applied and undone
     adjoint:   (E^T g)_k      = sum_m g_m exp(+i k t_m)
     shift_phases: exp(2 pi i j k / n), row j-1 for j = 1..n-1, the factors
         that turn the coefficients of q(t) into those of q(t + 2 pi j / n),
@@ -209,7 +210,7 @@ class _Spectral:
         return self.transform(spectrum)
 
     def transform(self, d: np.ndarray) -> np.ndarray:
-        return self.M * np.fft.ifft(d, axis=-1)
+        return np.fft.ifft(d, axis=-1, norm="forward")
 
     def adjoint(self, d: np.ndarray) -> np.ndarray:
         return self.transform(d)[..., self._kmod]
@@ -299,10 +300,14 @@ class _NodeState:
         self.eps = (1 / sp.real(config.R)) ** 2
         self.dw = 1j * (sp.k + config.omega)
         self.sigmas = sp.shift_phases(config.n)
-        nodes = sp.values(np.vstack((p, self.sigmas * p, self.dw * p)))
+        rows = np.empty((config.n + 1, p.size), dtype=self.sigmas.dtype)
+        rows[0] = p
+        np.multiply(self.sigmas, p, out=rows[1:-1])
+        np.multiply(self.dw, p, out=rows[-1])
+        nodes = sp.values(rows)
         self.z, self.u = nodes[:-1], nodes[-1]
         self.p, self.pj = self.z[0], self.z[1:]
-        self.uu = np.abs(self.u) ** 2
+        self.uu = self.u.real ** 2 + self.u.imag ** 2
         # Scale a of every row of z, conformal factor 1/a^2 at p, and the
         # squared chordal (disk) or Euclidean (plane) pair separations.
         self.a = _scale(self.z, self.eps)
@@ -360,10 +365,16 @@ def _pair_kernel(P: np.ndarray, eps):
         F'' = (3/4) (1 + eps P/2) G^(-5/2),  with G = P (1 + eps P/4);
 
     at eps = 0 these are the Newtonian P^(-1/2), -P^(-3/2)/2, (3/4) P^(-5/2).
+    The powers are products of 1/sqrt(G) and 1/G, one square root and two
+    divisions instead of three fractional powers (powl in long double),
+    each within a few roundings of the power.
     """
     b = 1.0 + 0.5 * eps * P
     G = P * (1.0 + 0.25 * eps * P)
-    return b * G ** -0.5, -0.5 * G ** -1.5, 0.75 * b * G ** -2.5
+    inv_root = 1.0 / np.sqrt(G)
+    inv_G = 1.0 / G
+    G_15 = inv_root * inv_G  # G^(-3/2)
+    return b * inv_root, -0.5 * G_15, 0.75 * b * G_15 * inv_G
 
 
 def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
@@ -372,33 +383,37 @@ def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
     kappa = d log(1/a) / dz = eps conj(z) / (4a) by row of z, and per pair
     p - p_j, a0, a1, P a0 and P a1, each an (n-1, M) array.
 
-    The kinetic rows and the two rows of every pair go through one stacked
-    adjoint; their pull-backs are summed in a fixed order: kinetic, then
-    pair by pair.
+    The two kinetic rows and the two rows of every pair are written into
+    one stack and go through one adjoint; the pair pull-backs, the second
+    framed by the shift phases, are summed over the pairs in one reduction
+    and then added to the kinetic ones.
     """
-    sp, w, lam, P = state.sp, state.w, state.lam, state.seps_sq
+    sp, w, lam, P, n = state.sp, state.w, state.lam, state.seps_sq, state.config.n
     kappa = 0.25 * state.eps * np.conj(state.z) / state.a
-    Fp = state.kernels[1]
-
-    # Wirtinger derivatives of the kinetic integrand lam(p) |u|^2, with
-    # d lam / dp = 2 lam kappa.
-    rows = [w * (lam * np.conj(state.u)), w * (2.0 * lam * kappa[0] * state.uu)]
+    wFp = w * state.kernels[1]
 
     # Pair terms: P is a function of z0 = p(t) and z1 = p_j(t);
     # alpha_a = d log P / d z_a.
     dp = state.p - state.pj
-    a0 = 1.0 / dp + kappa[0]
-    a1 = -1.0 / dp + kappa[1:]
+    inv_dp = 1.0 / dp
+    a0 = inv_dp + kappa[0]
+    a1 = kappa[1:] - inv_dp
     Pa = P * a0
     Pb = P * a1
-    rows += [w * Fp * Pa, w * Fp * Pb]
 
-    pulled = sp.adjoint(np.vstack(rows))
-    v = pulled[0] * state.dw + pulled[1]
-    pair_a, pair_b = np.split(pulled[2:], 2)
-    for ga, gb, sig in zip(pair_a, pair_b, state.sigmas):
-        v = v + ga
-        v = v + sig * gb
+    # Rows: the Wirtinger derivatives of the kinetic integrand lam(p) |u|^2,
+    # with d lam / dp = 2 lam kappa, then those of the pairs.
+    rows = np.empty((2 * n, sp.M), dtype=kappa.dtype)
+    np.multiply(w, lam * np.conj(state.u), out=rows[0])
+    np.multiply(w, 2.0 * lam * kappa[0] * state.uu, out=rows[1])
+    np.multiply(wFp, Pa, out=rows[2:n + 1])
+    np.multiply(wFp, Pb, out=rows[n + 1:])
+
+    pulled = sp.adjoint(rows)
+    pairs = pulled[n + 1:]
+    pairs *= state.sigmas
+    pairs += pulled[2:n + 1]
+    v = pulled[0] * state.dw + pulled[1] + np.sum(pairs, axis=0)
     gradient = np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float, copy=False)
     return gradient, (kappa, dp, a0, a1, Pa, Pb)
 

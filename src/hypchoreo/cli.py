@@ -258,16 +258,22 @@ def cmd_search(args) -> int:
     options1 = Phase1Options()
     options2 = Phase2Options(K2=args.K2)
 
+    def drop(trial, reason):
+        print(f"trial {trial:3d}  dropped: {reason}", file=sys.stderr)
+
     candidates = []
     for trial in range(args.trials):
         try:
             seed = random_seed(config, modes=min(args.modes, config.K), rng_seed=args.rng + trial)
-        except InfeasibleSeedError:
+        except InfeasibleSeedError as exc:
+            drop(trial, f"infeasible seed: {exc}")
             continue
         t0 = time.perf_counter()
         result = phase1_bfgs(pack_vars(seed), config, options1)
         if result.converged:
             candidates.append((result.value, trial, result, time.perf_counter() - t0))
+        else:
+            drop(trial, f"phase 1 {result.message}")
 
     candidates.sort(key=lambda item: (item[0], item[1]))
     distinct = []
@@ -279,7 +285,8 @@ def cmd_search(args) -> int:
     for _, trial, result, seconds in distinct:
         try:
             choreo = _solve_from_phase1(config, result, seconds, options2)
-        except (SolveFailure, InfeasibleSeedError):
+        except (SolveFailure, InfeasibleSeedError) as exc:
+            drop(trial, str(exc))
             continue
         solved.append((choreo.action, trial, choreo))
 

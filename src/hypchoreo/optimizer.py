@@ -126,10 +126,10 @@ class PhaseResult:
     values and gradient_norms log every accepted iterate, starting with
     the initial point; failed marks line-search failure (Phase 1) or
     divergence or an infeasible step (Phase 2), with the best iterate
-    returned either way.  Phase 2 names its verdict in message, and
-    curvature_indices holds the index of every Newton step it formed: the
-    number of Hessian eigenvalues below minus the floor, 0 for a Cholesky
-    step.
+    returned either way.  Both phases name their verdict in message.
+    curvature_indices holds the index of every Newton step Phase 2 formed:
+    the number of Hessian eigenvalues below minus the floor, 0 for a
+    Cholesky step.
     """
 
     x: np.ndarray
@@ -164,6 +164,20 @@ def _rel_gradient_norm(g: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(g)) / max(float(np.linalg.norm(x)), 1e-300)
 
 
+def _bfgs_update(Hinv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+    """Inverse-BFGS update of Hinv in place, for the step s, the gradient
+    change y and their curvature sy = s.y (Nocedal and Wright, section 6.1):
+
+        H+ = (I - s y'/sy) H (I - y s'/sy) + s s'/sy = H + u s' + s u',
+        u = ((sy + y.Hy) / (2 sy^2)) s - Hy / sy,
+
+    the symmetric rank-2 form, added as one (dim, 2) by (2, dim) product.
+    """
+    Hy = Hinv @ y
+    u = ((sy + float(y @ Hy)) / (2.0 * sy * sy)) * s - Hy / sy
+    Hinv += np.stack((u, s), axis=1) @ np.stack((s, u))
+
+
 def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseResult:
     """Dense inverse-BFGS with Armijo backtracking.
 
@@ -174,7 +188,15 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     decrease, so the rounding of fun does not steer the endgame.  The
     inverse Hessian approximation is rescaled to (s.y / y.y) I after the
     first accepted step and updates are skipped when the curvature s.y is
-    too small to be trustworthy.
+    too small to be trustworthy.  Each update is the inverse-BFGS formula
+    in its symmetric rank-2 form H + u s' + s u', added in place as one
+    product (_bfgs_update).
+
+    The result's message names the verdict: converged at the tolerance,
+    the iteration limit (with the smallest relative gradient seen and its
+    iteration), the rounding floor of fun, an accepted step too small to
+    move x, or a line search that found no feasible decrease (the only
+    one that sets failed).
     """
     opts = options if options is not None else Phase1Options()
     x = np.array(x0, dtype=float)
@@ -190,10 +212,11 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     gnorms = [_rel_gradient_norm(g, x)]
 
     iteration = 0
+    message = ""
     while iteration < opts.max_iterations:
-        grel = _rel_gradient_norm(g, x)
+        grel = gnorms[-1]
         if grel <= opts.gradient_tolerance:
-            return PhaseResult(x, f, grel, iteration, True, values=values, gradient_norms=gnorms)
+            break
 
         p = Hinv @ g
         p = -p
@@ -231,6 +254,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
                 # The smallest trial demanded less decrease than fun can
                 # resolve: the iterate sits at the rounding floor.  Stop
                 # here; a second-order method can still make progress.
+                message = f"stopped at the rounding floor: no trial step gave a decrease above {resolution:.1e}"
                 break
             return PhaseResult(
                 x, f, grel, iteration, False,
@@ -240,7 +264,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
 
         s = x_new - x
         if not np.any(s):
-            # Accepted step too small to move x at float resolution.
+            message = "stopped: the accepted step is too small to move x"
             break
         if g_new is None:
             g_new = np.asarray(grad(x_new), dtype=float)
@@ -250,19 +274,24 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
             Hinv = (sy / float(y @ y)) * identity
             first_update = False
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            Hy = Hinv @ y
-            yHy = float(y @ Hy)
-            Hinv += ((sy + yHy) / sy ** 2) * np.outer(s, s)
-            cross = np.outer(Hy, s) / sy
-            Hinv -= cross + cross.T
+            _bfgs_update(Hinv, s, y, sy)
         x, f, g = x_new, f_new, g_new
         values.append(f)
         gnorms.append(_rel_gradient_norm(g, x))
         iteration += 1
 
-    grel = _rel_gradient_norm(g, x)
+    grel = gnorms[-1]
+    converged = grel <= opts.gradient_tolerance
+    if converged:
+        message = f"converged at tolerance {opts.gradient_tolerance:.1e}"
+    elif not message:
+        best = int(np.argmin(gnorms))
+        message = (
+            f"iteration limit {opts.max_iterations} reached at relative gradient {grel:.2e};"
+            f" smallest {gnorms[best]:.2e} at iteration {best}"
+        )
     return PhaseResult(
-        x, f, grel, iteration, grel <= opts.gradient_tolerance,
+        x, f, grel, iteration, converged, message=message,
         values=values, gradient_norms=gnorms,
     )
 

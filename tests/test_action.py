@@ -20,6 +20,7 @@ from hypchoreo.action import (
     _coefficients,
     _first_order,
     _NodeState,
+    _pair_kernel,
     _second_order,
     _transform,
 )
@@ -254,6 +255,33 @@ class TestDerivatives:
             assert got.dtype == np.clongdouble
             error = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
             assert error <= 20 * float(np.finfo(np.longdouble).eps)
+
+
+class TestPointwiseKernels:
+    """Kernels written for speed, checked against their textbook forms."""
+
+    @pytest.mark.parametrize("real", [np.float64, np.longdouble], ids=["float64", "long_double"])
+    @pytest.mark.parametrize("R", [math.inf, 1.2])
+    def test_pair_kernel_matches_fractional_powers(self, real, R):
+        P = np.logspace(-20, 6, 2601).astype(real)
+        eps = (1 / real(R)) ** 2
+        b = 1.0 + 0.5 * eps * P
+        G = P * (1.0 + 0.25 * eps * P)
+        want = (b * G ** real(-0.5), real(-0.5) * G ** real(-1.5), real(0.75) * b * G ** real(-2.5))
+        for got, ref in zip(_pair_kernel(P, eps), want):
+            assert got.dtype == real
+            assert np.all(np.abs(got - ref) <= 8 * np.finfo(real).eps * np.abs(ref))
+
+    @pytest.mark.parametrize("precise", [False, True], ids=["float64", "long_double"])
+    def test_transform_is_unscaled_inverse_fft(self, precise):
+        sp = _transform(27, precise)
+        rng = np.random.default_rng(60)
+        d = (rng.standard_normal((3, sp.M)) + 1j * rng.standard_normal((3, sp.M))).astype(
+            np.result_type(sp.real, 1j)
+        )
+        got, want = sp.transform(d), sp.M * np.fft.ifft(d, axis=-1)
+        assert got.dtype == want.dtype == np.result_type(sp.real, 1j)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(sp.real).eps * np.max(np.abs(want))
 
 
 class TestStackedEvaluation:

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from hypchoreo.action import Configuration
+from hypchoreo import cli, optimizer
+from hypchoreo.action import Configuration, action_value
 from hypchoreo.cli import main
-from hypchoreo.optimizer import Choreography
+from hypchoreo.optimizer import Choreography, InfeasibleSeedError, Phase1Options, PhaseResult
 from hypchoreo.solutions import load_solution, save_solution
 from hypchoreo.trigpath import TrigPath
 from hypchoreo.verify import SolveReport
@@ -300,3 +301,41 @@ class TestSearch:
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["search_000.json"]
+
+    @pytest.mark.parametrize("reason", ["infeasible_seed", "phase1", "phase2"])
+    def test_dropped_trials_named_on_stderr(self, reason, tmp_path, capsys, monkeypatch):
+        # Every trial is dropped for one reason, and each dropped trial gets
+        # one stderr line with its number and that reason; stdout stays empty.
+        if reason == "infeasible_seed":
+            def no_seed(*args, **kwargs):
+                raise InfeasibleSeedError("no feasible random seed found in 100 draws")
+
+            monkeypatch.setattr(cli, "random_seed", no_seed)
+            expected = "infeasible seed: no feasible random seed found in 100 draws"
+        elif reason == "phase1":
+            monkeypatch.setattr(cli, "Phase1Options", lambda: Phase1Options(max_iterations=1))
+            expected = "phase 1 iteration limit 1 reached at relative gradient "
+        else:
+            # Phase 1 "converges" at each (distinct) seed, and Phase 2 fails.
+            def at_seed(x0, config, options=None):
+                x = np.array(x0, dtype=float)
+                return PhaseResult(x, action_value(x, config), 0.0, 0, True)
+
+            def diverging(x0, config, options=None):
+                x = np.array(x0, dtype=float)
+                return PhaseResult(x, action_value(x, config), 1.0, 2, False, failed=True, message="diverged")
+
+            monkeypatch.setattr(cli, "phase1_bfgs", at_seed)
+            monkeypatch.setattr(optimizer, "phase2_newton", diverging)
+            expected = "phase 2 failed: diverged"
+        code = main(
+            ["search", "--n", "2", "--R", "1.5", "--K", "4", "--K2", "8",
+             "--trials", "3", "--modes", "2", "--rng", "0", "--out-dir", str(tmp_path / "found")]
+        )
+        assert code == 2  # no converged solutions
+        out, err = capsys.readouterr()
+        assert out == ""
+        dropped = [line.split("  dropped: ") for line in err.splitlines() if "dropped" in line]
+        assert all(why.startswith(expected) for _, why in dropped)
+        # Phase 2 takes the trials in the order of their Phase-1 values.
+        assert sorted(trial for trial, _ in dropped) == ["trial   0", "trial   1", "trial   2"]

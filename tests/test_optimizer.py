@@ -12,6 +12,7 @@ from hypchoreo.optimizer import (
     InfeasibleSeedError,
     Phase1Options,
     Phase2Options,
+    _bfgs_update,
     _newton_step,
     minimize_bfgs,
     phase2_newton,
@@ -59,6 +60,7 @@ class TestMinimizeBfgs:
         grad = lambda x: A @ x - b
         out = minimize_bfgs(fun, grad, np.zeros(8), Phase1Options(gradient_tolerance=1e-10))
         assert out.converged and not out.failed
+        assert out.message == "converged at tolerance 1.0e-10"
         assert np.linalg.norm(out.x - x_star) <= 1e-7 * np.linalg.norm(x_star)
 
     def test_rosenbrock(self):
@@ -123,6 +125,7 @@ class TestMinimizeBfgs:
         out = minimize_bfgs(fun, grad, np.array([0.0]))
         assert not out.failed and not out.converged
         assert out.x[0] == 0.0
+        assert out.message.startswith("stopped at the rounding floor")
 
     def test_converges_below_value_resolution(self):
         # Near the minimum the decrease of a step is far below what the
@@ -147,11 +150,37 @@ class TestMinimizeBfgs:
             ]
         )
         out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]), Phase1Options(max_iterations=2))
-        assert out.iterations == 2 and not out.converged
+        assert out.iterations == 2 and not out.converged and not out.failed
+        assert out.message.startswith("iteration limit 2 reached")
+        # The gradient grows after iteration 4: the verdict names the
+        # smallest one seen, not the last.
+        out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]), Phase1Options(max_iterations=6))
+        g = out.gradient_norms
+        assert min(g) == g[4] < g[6] == out.gradient_rel_norm
+        assert out.message == (
+            f"iteration limit 6 reached at relative gradient {g[6]:.2e}; smallest {g[4]:.2e} at iteration 4"
+        )
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
             Phase1Options(gradient_tolerance=0.0)
+
+    @pytest.mark.parametrize("dim", [110, 306])
+    def test_update_matches_product_form(self, dim):
+        rng = np.random.default_rng(dim)
+        A = rng.standard_normal((dim, dim))
+        H = A @ A.T / dim + np.eye(dim)
+        s = rng.standard_normal(dim)
+        y = (A @ A.T / dim + 2.0 * np.eye(dim)) @ s
+        sy = float(s @ y)
+        rho = 1.0 / sy
+        left = np.eye(dim) - rho * np.outer(s, y)
+        want = left @ H @ left.T + rho * np.outer(s, s)
+        got = H.copy()
+        _bfgs_update(got, s, y, sy)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        assert np.max(np.abs(got - got.T)) <= 4 * np.finfo(float).eps * scale
 
 
 class TestCircleEquilibria:
