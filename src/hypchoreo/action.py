@@ -62,8 +62,9 @@ in one of two precisions, each built once per (K, precise) and cached:
 double precision, or long double for the Newton endgame and the final
 verification, whose rounding floor lies far below the double-precision
 gradient's (about 1e-12 relative at converged solutions) wherever long
-double is wider than double.  The same node state, on the residual's own
-grid, gives verify.path_residual its node values and feasibility tests.
+double is wider than double.  The same node state, on its own grid of M
+nodes, gives verify.path_residual its node values and feasibility tests
+and optimizer.random_seed the separations of its draws.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .trigpath import NodeValues, TrigPath
+from .trigpath import TrigPath
 
 __all__ = [
     "Configuration",
@@ -269,18 +270,6 @@ def _coefficients(x, config: Configuration) -> np.ndarray:
     return config.sigma * (x[:half] + 1j * x[half:])
 
 
-def _scale(z: np.ndarray, eps) -> np.ndarray:
-    """a = 1 - eps |z|^2 / 4, the disk's conformal scale at z (1 on the plane)."""
-    return 1.0 - 0.25 * eps * np.abs(z) ** 2
-
-
-def _separations_squared(z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Squared separations d^2 = |z_0 - z_j|^2 / (a_0 a_j) of row 0 of z from
-    each later row, given the scales a = _scale(z, eps): chordal on the
-    disk of curvature eps = 1/R^2, Euclidean at eps = 0."""
-    return np.abs(z[0] - z[1:]) ** 2 / (a[0] * a[1:])
-
-
 class _NodeState:
     """Node values of p, its shifted copies, and the rotating velocity
     u = p' + i w p, in the dtype of the transform (long double when
@@ -308,11 +297,12 @@ class _NodeState:
         self.z, self.u = nodes[:-1], nodes[-1]
         self.p, self.pj = self.z[0], self.z[1:]
         self.uu = self.u.real ** 2 + self.u.imag ** 2
-        # Scale a of every row of z, conformal factor 1/a^2 at p, and the
-        # squared chordal (disk) or Euclidean (plane) pair separations.
-        self.a = _scale(self.z, self.eps)
+        # Scale a = 1 - eps |z|^2 / 4 of every row of z (1 on the plane),
+        # conformal factor 1/a^2 at p, and the squared pair separations
+        # |p - pj|^2 / (a0 aj): chordal on the disk, Euclidean on the plane.
+        self.a = 1.0 - 0.25 * self.eps * np.abs(self.z) ** 2
         self.lam = 1.0 / (self.a[0] * self.a[0])
-        self.seps_sq = _separations_squared(self.z, self.a)
+        self.seps_sq = np.abs(self.p - self.pj) ** 2 / (self.a[0] * self.a[1:])
         # Trapezoid weight of every integral.
         self.w = 0.5 * config.n * (2.0 * sp.pi / sp.M)
 
@@ -549,10 +539,11 @@ def action_hessian(x, config: Configuration) -> np.ndarray:
     return evaluate(x, config, order=2).hessian
 
 
-def pairwise_separations(path: TrigPath, config: Configuration) -> list[NodeValues]:
+def pairwise_separations(path: TrigPath, config: Configuration) -> np.ndarray:
     """Separations D_j(t), j = 1..n-1, on the quadrature grid.
 
-    Returns chordal separations on the disk (Euclidean for planar runs).
+    Returns the real (n-1, M) array of chordal separations on the disk
+    (Euclidean for planar runs), row j-1 for the pair (0, j).
 
     Raises
     ------
@@ -563,7 +554,7 @@ def pairwise_separations(path: TrigPath, config: Configuration) -> list[NodeValu
     """
     state = _NodeState(config.sigma * path.coeffs, config)
     state.check()
-    return [NodeValues(np.sqrt(p).astype(complex)) for p in state.seps_sq]
+    return np.sqrt(state.seps_sq)
 
 
 def hyperboloid_energies(path: TrigPath, config: Configuration, times) -> tuple[np.ndarray, np.ndarray]:

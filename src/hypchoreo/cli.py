@@ -253,6 +253,18 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _distinct(items: list[tuple]) -> list[tuple]:
+    """The (value, trial, ...) items in order of value, then trial, each
+    kept when its value lies more than 1e-6 relative from every value
+    kept before it."""
+    kept = []
+    for item in sorted(items, key=lambda item: (item[0], item[1])):
+        value = item[0]
+        if all(abs(value - other[0]) > 1e-6 * max(abs(value), abs(other[0])) for other in kept):
+            kept.append(item)
+    return kept
+
+
 def cmd_search(args) -> int:
     config = Configuration(n=args.n, R=args.R, K=args.K, omega=args.omega)
     options1 = Phase1Options()
@@ -275,14 +287,8 @@ def cmd_search(args) -> int:
         else:
             drop(trial, f"phase 1 {result.message}")
 
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    distinct = []
-    for value, trial, result, seconds in candidates:
-        if all(abs(value - kept) > 1e-6 * max(abs(value), abs(kept)) for kept, *_ in distinct):
-            distinct.append((value, trial, result, seconds))
-
     solved = []
-    for _, trial, result, seconds in distinct:
+    for _, trial, result, seconds in _distinct(candidates):
         try:
             choreo = _solve_from_phase1(config, result, seconds, options2)
         except (SolveFailure, InfeasibleSeedError) as exc:
@@ -290,12 +296,7 @@ def cmd_search(args) -> int:
             continue
         solved.append((choreo.action, trial, choreo))
 
-    solved.sort(key=lambda item: (item[0], item[1]))
-    kept = []
-    for action, trial, choreo in solved:
-        if all(abs(action - a) > 1e-6 * max(abs(action), abs(a)) for a, _, _ in kept):
-            kept.append((action, trial, choreo))
-
+    kept = _distinct(solved)
     if not kept:
         print("no converged solutions found", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -133,7 +133,7 @@ def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
     # curvature that is not negative means |S| is flat there (a circle).
     overlap = TrigPath(sigma * moving.coeffs * np.conj(reference))
     grid = 4 * overlap.coeffs.size
-    s = 2.0 * np.pi * int(np.argmax(np.abs(overlap.at_nodes(grid).values))) / grid
+    s = 2.0 * np.pi * int(np.argmax(np.abs(overlap.at_nodes(grid)))) / grid
     for _ in range(8):
         terms = overlap.shift(s).coeffs
         S = terms.sum()
@@ -153,7 +153,7 @@ def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
     phase = np.cos(arg) + 1j * np.sin(arg)
     d = np.clongdouble(sigma) * phase * moving.coeffs.astype(np.clongdouble)
     d = (d - reference.astype(np.clongdouble)).astype(complex)
-    return float(np.max(np.abs(TrigPath(d).at_nodes(count).values)))
+    return float(np.max(np.abs(TrigPath(d).at_nodes(count))))
 
 
 def continue_in_R(

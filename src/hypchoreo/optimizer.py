@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import Configuration, _scale, _separations_squared, action_value, evaluate
-from .trigpath import TrigPath, nodes, pack_vars, unpack_vars
+from .action import Configuration, _NodeState, _transform, action_value, evaluate
+from .trigpath import TrigPath, pack_vars, unpack_vars
 from .verify import PhaseRecord, SolveReport, coefficient_decay, path_residual
 
 __all__ = [
@@ -443,7 +443,9 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
     inside the disk (max |q| = 0.6 R) and redrawn until all bodies keep a
     mutual chordal separation of at least 0.05 R.  The flat problem has
     no disk to scale against, so it uses a unit reference length instead
-    of R.
+    of R.  Both tests read node values on 1024 nodes: the peak from the
+    transform of the raw draw, which may lie off the disk, and the
+    separations from the node state of the scaled one.
     """
     if modes > config.K:
         raise ValueError("seed bandwidth exceeds the configuration bandwidth")
@@ -452,23 +454,17 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
     rng = np.random.default_rng(rng_seed)
     scale_ref = 1.0 if config.is_planar else config.R
     k = np.arange(-modes, modes + 1)
-    t = nodes(1024)
-    shifts = 2.0 * np.pi * np.arange(config.n) / config.n
-    sigma, eps = config.sigma, (1 / config.R) ** 2
+    sp = _transform(modes, False, 1024)
 
     for _ in range(100):
         c = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) * 2.0 ** (-np.abs(k))
-        path = TrigPath(c)
-        q = path.eval(t)
-        peak = float(np.max(np.abs(q)))
+        peak = float(np.max(np.abs(sp.values(c))))
         if peak == 0.0:
             continue
         c = c * (0.6 * scale_ref / peak)
-        path = TrigPath(c)
-        z = sigma * np.array([path.eval(t + tau) for tau in shifts])
-        seps_sq = _separations_squared(z, _scale(z, eps))
-        if float(np.min(seps_sq)) >= (0.05 * scale_ref) ** 2:
-            return path.pad(config.K)
+        state = _NodeState(config.sigma * c, config, M=1024)
+        if float(np.min(state.seps_sq)) >= (0.05 * scale_ref) ** 2:
+            return TrigPath(c).pad(config.K)
     raise InfeasibleSeedError("no feasible random seed found in 100 draws")
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "TrigPath",
-    "NodeValues",
     "nodes",
     "trapezoid_integral",
     "pack_vars",
@@ -36,23 +35,6 @@ def nodes(count: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(count) / count
 
 
-@dataclass(frozen=True)
-class NodeValues:
-    """Samples of a periodic function on the equispaced grid nodes(N)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.ndim != 1 or vals.size < 1:
-            raise ValueError("node values must form a nonempty 1-d array")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def N(self) -> int:
-        return self.values.size
-
-
 def trapezoid_integral(values) -> complex:
     """Integral over one period by the trapezoidal rule, (2*pi/N) * sum.
 
@@ -60,7 +42,7 @@ def trapezoid_integral(values) -> complex:
     polynomial of bandwidth < N; exponentially accurate for analytic
     periodic integrands.
     """
-    vals = values.values if isinstance(values, NodeValues) else np.asarray(values, dtype=complex)
+    vals = np.asarray(values, dtype=complex)
     return 2.0 * np.pi * complex(np.sum(vals)) / vals.size
 
 
@@ -94,12 +76,12 @@ class TrigPath:
     @classmethod
     def from_samples(cls, values) -> "TrigPath":
         """Interpolate samples on nodes(N), N odd, by a bandwidth-(N-1)/2 path."""
-        vals = values.values if isinstance(values, NodeValues) else np.asarray(values, dtype=complex)
+        vals = np.asarray(values, dtype=complex)
         if vals.ndim != 1 or vals.size % 2 == 0:
             raise ValueError("interpolation needs an odd number of samples")
         return cls(np.fft.fftshift(np.fft.fft(vals)) / vals.size)
 
-    def at_nodes(self, N: int) -> NodeValues:
+    def at_nodes(self, N: int) -> np.ndarray:
         """Evaluate on nodes(N) by zero-padded inverse FFT; requires N >= 2K+1."""
         if N < self.coeffs.size:
             raise ValueError(
@@ -107,7 +89,7 @@ class TrigPath:
             )
         spectrum = np.zeros(N, dtype=complex)
         spectrum[self.wavenumbers % N] = self.coeffs
-        return NodeValues(N * np.fft.ifft(spectrum))
+        return N * np.fft.ifft(spectrum)
 
     def eval(self, t) -> np.ndarray:
         """Evaluate at arbitrary times by direct summation."""

@@ -222,8 +222,8 @@ def extrinsic_residual(choreo, oversample: int = 4) -> float:
     for comp in range(3):
         interp = TrigPath.from_samples(X0[:, comp])
         d1 = interp.derivative()
-        Xp[:, comp] = d1.at_nodes(N).values.real
-        Xpp[:, comp] = d1.derivative().at_nodes(N).values.real
+        Xp[:, comp] = d1.at_nodes(N).real
+        Xpp[:, comp] = d1.derivative().at_nodes(N).real
 
     def inner(A, B):
         return A[:, 0] * B[:, 0] + A[:, 1] * B[:, 1] - A[:, 2] * B[:, 2]

@@ -19,6 +19,12 @@ def write_seed(path, coeffs, config):
     save_solution(path, Choreography(config=config, path=TrigPath(coeffs), report=SolveReport()))
 
 
+def diverging(x0, config, options=None):
+    """A Phase 2 that fails at its start."""
+    x = np.array(x0, dtype=float)
+    return PhaseResult(x, action_value(x, config), 1.0, 2, False, failed=True, message="diverged")
+
+
 @pytest.fixture(scope="module")
 def circle_solution(tmp_path_factory):
     """A solved two-body disk orbit at R=20, written by the CLI itself."""
@@ -83,6 +89,23 @@ class TestSolve:
             ]
         )
         assert code == 4
+
+    def test_phase2_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        # The report of both phases goes to stdout, the verdict to stderr,
+        # and no file is written.
+        monkeypatch.setattr(optimizer, "phase2_newton", diverging)
+        out_file = tmp_path / "x.json"
+        code = main(
+            [
+                "solve", "--n", "2", "--R", "20", "--K", "4",
+                "--seed", "1", "--modes", "2", "--out", str(out_file),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "Phase 1" in out and "Phase 2" in out
+        assert err == "FAILED: phase 2 failed: diverged\n"
+        assert not out_file.exists()
 
 
 class TestVerify:
@@ -180,6 +203,31 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+    def test_flat_solve_failure_exit_2(self, circle_solution, capsys, monkeypatch):
+        monkeypatch.setattr(optimizer, "phase2_newton", diverging)
+        code = main(["sweep", "--family", str(circle_solution), "--R-list", "40,20", "--K", "4", "--K2", "8"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "FAILED: phase 2 failed: diverged\n"
+
+    def test_incomplete_family_exit_2(self, circle_solution, capsys, monkeypatch):
+        # The member at R = 20 fails: the rows solved before it are still
+        # written, and stderr names where the sweep stopped.
+        newton = optimizer.phase2_newton
+
+        def failing_at_20(x0, config, options=None):
+            return (diverging if config.R == 20.0 else newton)(x0, config, options)
+
+        monkeypatch.setattr(optimizer, "phase2_newton", failing_at_20)
+        code = main(["sweep", "--family", str(circle_solution), "--R-list", "40,20,10", "--K", "4", "--K2", "8"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert lines[0] == "family,R,diff,slope"
+        assert [line.split(",")[1] for line in lines[1:]] == ["40.0"]
+        assert err == "sweep stopped at R = 20.0\n"
 
     def test_flat_family_has_no_phase1_bandwidth(self, tmp_path, capsys):
         # A flat file is the flat solution itself: no Phase 1 runs, so a
@@ -320,10 +368,6 @@ class TestSearch:
             def at_seed(x0, config, options=None):
                 x = np.array(x0, dtype=float)
                 return PhaseResult(x, action_value(x, config), 0.0, 0, True)
-
-            def diverging(x0, config, options=None):
-                x = np.array(x0, dtype=float)
-                return PhaseResult(x, action_value(x, config), 1.0, 2, False, failed=True, message="diverged")
 
             monkeypatch.setattr(cli, "phase1_bfgs", at_seed)
             monkeypatch.setattr(optimizer, "phase2_newton", diverging)

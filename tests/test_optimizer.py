@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from hypchoreo import optimizer
 from hypchoreo.action import Configuration, action_value, evaluate
 from hypchoreo.optimizer import (
     _EIGENVALUE_FLOOR,
     InfeasibleSeedError,
     Phase1Options,
     Phase2Options,
+    PhaseResult,
+    SolveFailure,
     _bfgs_update,
     _newton_step,
     minimize_bfgs,
@@ -330,6 +333,31 @@ class TestSolvePlumbing:
         with pytest.raises(InfeasibleSeedError):
             solve(config, TrigPath(c))
 
+    def test_phase1_line_search_failure_raises(self, monkeypatch):
+        # A Phase 1 that fails stops the solve before Phase 2, with its
+        # record attached.
+        def failing(x0, config, options=None):
+            x = np.array(x0, dtype=float)
+            return PhaseResult(
+                x, action_value(x, config), 1e-2, 3, False,
+                failed=True, message="line search found no feasible decrease",
+            )
+
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Phase 2 ran after a failed Phase 1")
+
+        monkeypatch.setattr(optimizer, "phase1_bfgs", failing)
+        monkeypatch.setattr(optimizer, "phase2_newton", no_newton)
+        config = Configuration(n=3, R=1.8, K=4)
+        c = np.zeros(9, dtype=complex)
+        c[5] = 0.37
+        with pytest.raises(SolveFailure, match="^phase 1 failed: line search found no feasible decrease$") as exc:
+            solve(config, TrigPath(c))
+        report = exc.value.choreography.report
+        assert report.phase2 is None
+        assert report.phase1.iterations == 3 and report.phase1.converged is False
+        assert np.array_equal(exc.value.choreography.path.coeffs, c)
+
 
 def saddle_free_step(H, g):
     """The eigh step: divide by max(|lam|, floor), with floor 1e-10 + 1e-12 max|lam|."""
@@ -438,3 +466,72 @@ class TestPhase2Newton:
         config = Configuration(n=2, R=1.5, K=2)
         with pytest.raises(InfeasibleSeedError):
             phase2_newton(pack_vars(TrigPath(np.array([0, 0, 0.1, 0, 0], dtype=complex))), config)
+
+    @staticmethod
+    def _start():
+        """A circle of the (n, R) = (3, 1.8) problem, stretched and kicked
+        off its orbit: relative gradient 3.5e-2."""
+        config = Configuration(n=3, R=1.8, K=8)
+        r_star, _ = best_circle(config)
+        c = np.zeros(17, dtype=complex)
+        c[9] = r_star * (1.0 + 1e-4)
+        c[10] = 1e-5j
+        return config, pack_vars(TrigPath(c))
+
+    def test_no_feasible_decrease_returns_the_start(self, monkeypatch):
+        # Every damping of the first step lands on an infeasible point.
+        config, x0 = self._start()
+        calls = []
+
+        def start_then_infeasible(x, config):
+            calls.append(x)
+            return action_value(x, config) if len(calls) == 1 else math.inf
+
+        monkeypatch.setattr(optimizer, "action_value", start_then_infeasible)
+        out = phase2_newton(x0, config)
+        assert out.failed and not out.converged
+        assert out.message.startswith("no feasible decrease: the Newton step failed at every damping")
+        assert out.iterations == 0
+        assert np.array_equal(out.x, x0)
+        assert len(calls) == 2 + 60  # the start, the full step and its 60 halvings
+
+    def test_diverged_above_the_floor_returns_the_best_iterate(self, monkeypatch):
+        # Stepping against Newton's direction, damped until the value no
+        # longer rises, makes the gradient grow on every step.
+        config, x0 = self._start()
+        newton_step = optimizer._newton_step
+
+        def backwards(H, g):
+            step, index = newton_step(H, g)
+            return -step, index
+
+        monkeypatch.setattr(optimizer, "_newton_step", backwards)
+        out = phase2_newton(x0, config)
+        assert out.failed and not out.converged
+        assert out.message.startswith("diverged above the rounding floor ")
+        assert "the gradient norm grew on two consecutive Newton steps" in out.message
+        assert out.iterations == 2
+        assert out.gradient_norms[0] < out.gradient_norms[1] < out.gradient_norms[2]
+        assert np.array_equal(out.x, x0) and out.gradient_rel_norm == out.gradient_norms[0]
+
+    def test_iteration_cap_returns_the_best_iterate(self, monkeypatch):
+        # One Newton step, then one against it: the cap stops the run with
+        # the gradient grown once, and the result is the better first step.
+        config, x0 = self._start()
+        newton_step = optimizer._newton_step
+        steps = []
+
+        def then_backwards(H, g):
+            step, index = newton_step(H, g)
+            steps.append(step)
+            return (step if len(steps) == 1 else -step), index
+
+        monkeypatch.setattr(optimizer, "_newton_step", then_backwards)
+        out = phase2_newton(x0, config, Phase2Options(max_iterations=2))
+        assert not out.failed and not out.converged
+        assert out.message.startswith("iteration limit reached above the rounding floor ")
+        assert out.iterations == 2
+        assert out.gradient_norms[1] < out.gradient_norms[2]
+        assert out.gradient_rel_norm == out.gradient_norms[1]
+        assert np.array_equal(out.x, x0 + steps[0])
+        assert out.value == out.values[1]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hypchoreo import solutions
 from hypchoreo.action import Configuration
 from hypchoreo.optimizer import Choreography
 from hypchoreo.solutions import (
@@ -82,6 +83,23 @@ class TestRoundTrip:
         save_solution(target, sample_choreo(planar=True))
         assert load_solution(target).config.is_planar
         assert [p.name for p in tmp_path.iterdir()] == ["orbit.json"]
+
+
+    def test_failed_write_removes_its_temporary_file(self, tmp_path, monkeypatch):
+        # The rename fails: the error propagates, the temporary file is
+        # removed, and the file already at the target is left as it was.
+        target = tmp_path / "orbit.json"
+        save_solution(target, sample_choreo())
+        before = target.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(solutions.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space left on device"):
+            save_solution(target, sample_choreo(planar=True))
+        assert [p.name for p in tmp_path.iterdir()] == ["orbit.json"]
+        assert target.read_bytes() == before
 
 
 def valid_document():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hypchoreo.trigpath import (
-    NodeValues,
     TrigPath,
     nodes,
     pack_vars,
@@ -27,11 +26,6 @@ class TestNodesAndValues:
         with pytest.raises(ValueError):
             nodes(0)
 
-    def test_node_values_validation(self):
-        with pytest.raises(ValueError):
-            NodeValues(np.zeros((2, 2)))
-        assert NodeValues([1.0, 2.0]).N == 2
-
 
 class TestInterpolation:
     def test_round_trip_exact(self):
@@ -47,7 +41,7 @@ class TestInterpolation:
         rng = np.random.default_rng(22)
         path = random_path(rng, 6)
         for N in (13, 14, 27, 40):
-            grid = path.at_nodes(N).values
+            grid = path.at_nodes(N)
             direct = path.eval(nodes(N))
             assert np.max(np.abs(grid - direct)) <= 1e-12 * np.max(np.abs(direct))
 
