@@ -5,6 +5,14 @@ residual triple), sweep (curvature continuation against the flat limit),
 export (orbit samples or coefficient magnitudes as CSV), and search
 (multi-seed random exploration).
 
+search draws every seed in this process, then runs the trials' Phase 1
+in spawned worker processes, one per usable CPU (so `taskset` limits
+them), and Phase 2 here, in trial order.  A trial's iterates are those
+of an in-process run bit for bit, so the output does not depend on the
+number of workers; each call pays a fixed worker start-up cost.  Each
+worker imports the calling script, so a script that runs search through
+main must call it under `if __name__ == "__main__":`.
+
 Exit codes: 0 success; 2 bad arguments, non-convergence or failed
 verification; 3 infeasible seed; 4 unreadable, malformed, or unwritable
 files.
@@ -14,8 +22,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +46,7 @@ from .optimizer import (
     InfeasibleSeedError,
     Phase1Options,
     Phase2Options,
+    PhaseResult,
     SolveFailure,
     _solve_from_phase1,
     phase1_bfgs,
@@ -217,7 +229,7 @@ def cmd_sweep(args) -> int:
 
     _write_text(args.out, _sweep_rows(Path(args.family).stem, result))
     if not result.complete:
-        print(f"sweep stopped at R = {result.failed_at}", file=sys.stderr)
+        print(f"sweep stopped at R = {result.failed_at}: {result.reason}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -265,6 +277,30 @@ def _distinct(items: list[tuple]) -> list[tuple]:
     return kept
 
 
+def _timed_phase1(phase1, x0, config: Configuration, options: Phase1Options) -> tuple[PhaseResult, float]:
+    """Run phase1 from x0 in a worker process; return its result and seconds."""
+    t0 = time.perf_counter()
+    result = phase1(x0, config, options)
+    return result, time.perf_counter() - t0
+
+
+def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Phase1Options) -> list[tuple[PhaseResult, float]]:
+    """Phase 1 from each start, as (result, seconds) in the order of starts.
+
+    The runs share spawned worker processes, one per usable CPU (fork is
+    unsafe once BLAS threads run); each calls this module's phase1_bfgs.
+    The first run that raises stops the rest and its exception is raised
+    here.
+    """
+    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        futures = [pool.submit(_timed_phase1, phase1_bfgs, x0, config, options) for x0 in starts]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_search(args) -> int:
     config = Configuration(n=args.n, R=args.R, K=args.K, omega=args.omega)
     options1 = Phase1Options()
@@ -273,17 +309,24 @@ def cmd_search(args) -> int:
     def drop(trial, reason):
         print(f"trial {trial:3d}  dropped: {reason}", file=sys.stderr)
 
-    candidates = []
+    starts, infeasible = {}, {}
     for trial in range(args.trials):
         try:
             seed = random_seed(config, modes=min(args.modes, config.K), rng_seed=args.rng + trial)
         except InfeasibleSeedError as exc:
-            drop(trial, f"infeasible seed: {exc}")
+            infeasible[trial] = exc
             continue
-        t0 = time.perf_counter()
-        result = phase1_bfgs(pack_vars(seed), config, options1)
+        starts[trial] = pack_vars(seed)
+    runs = dict(zip(starts, _phase1_trials(list(starts.values()), config, options1)))
+
+    candidates = []
+    for trial in range(args.trials):
+        if trial in infeasible:
+            drop(trial, f"infeasible seed: {infeasible[trial]}")
+            continue
+        result, seconds = runs[trial]
         if result.converged:
-            candidates.append((result.value, trial, result, time.perf_counter() - t0))
+            candidates.append((result.value, trial, result, seconds))
         else:
             drop(trial, f"phase 1 {result.message}")
 

@@ -60,10 +60,12 @@ class FamilyMember:
 
 @dataclass
 class ContinuationResult:
-    """Members solved so far; failed_at records where a sweep stopped early."""
+    """Members solved so far; failed_at and reason record where and why a
+    sweep stopped early."""
 
     members: list[FamilyMember]
     failed_at: float | None = None
+    reason: str | None = None
 
     @property
     def complete(self) -> bool:
@@ -168,7 +170,10 @@ def continue_in_R(
     Each member is Newton-corrected at K2 (options2.K2, default 2 K) from
     the flat solution divided by the disk's sigma (first, largest R) or the
     previous member.  A member must converge and pass verify_all; the sweep
-    stops at the first failure and returns the prefix with failed_at set.
+    stops at the first failure and returns the prefix with failed_at and
+    reason set: the SolveFailure or InfeasibleSeedError message, the
+    unconverged Phase 2's final relative gradient and step count, or
+    verify_all's failures.
     """
     radii = [float(R) for R in R_list]
     if not radii:
@@ -189,10 +194,17 @@ def continue_in_R(
     for R in radii:
         try:
             choreo = _solve_phase2(replace(family_config, R=R), start, opts2)
-        except (SolveFailure, InfeasibleSeedError):
-            return ContinuationResult(members, failed_at=R)
-        if not choreo.report.phase2.converged or not verify_all(choreo, thresholds).passed:
-            return ContinuationResult(members, failed_at=R)
+        except (SolveFailure, InfeasibleSeedError) as exc:
+            return ContinuationResult(members, failed_at=R, reason=str(exc))
+        phase2 = choreo.report.phase2
+        if not phase2.converged:
+            return ContinuationResult(members, failed_at=R, reason=(
+                f"phase 2 did not converge: relative gradient {phase2.gradient_rel_norm:.2e}"
+                f" after {phase2.iterations} Newton steps"
+            ))
+        verdict = verify_all(choreo, thresholds)
+        if not verdict.passed:
+            return ContinuationResult(members, failed_at=R, reason="verification failed: " + "; ".join(verdict.failures))
         members.append(FamilyMember(R, choreo, planar_limit_diff(choreo, reference)))
         start = choreo.path
     return ContinuationResult(members)

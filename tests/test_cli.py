@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import threading
+import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +13,9 @@ import pytest
 from hypchoreo import cli, optimizer
 from hypchoreo.action import Configuration, action_value
 from hypchoreo.cli import main
-from hypchoreo.optimizer import Choreography, InfeasibleSeedError, Phase1Options, PhaseResult
+from hypchoreo.optimizer import Choreography, InfeasibleSeedError, Phase1Options, PhaseResult, phase1_bfgs, random_seed
 from hypchoreo.solutions import load_solution, save_solution
-from hypchoreo.trigpath import TrigPath
+from hypchoreo.trigpath import TrigPath, pack_vars
 from hypchoreo.verify import SolveReport
 
 
@@ -23,6 +27,26 @@ def diverging(x0, config, options=None):
     """A Phase 2 that fails at its start."""
     x = np.array(x0, dtype=float)
     return PhaseResult(x, action_value(x, config), 1.0, 2, False, failed=True, message="diverged")
+
+
+# Stubs for `search`'s Phase 1 stay at module level: the trials run in
+# spawned worker processes, which import them by name.
+def at_seed(x0, config, options=None):
+    """A Phase 1 that "converges" at its start."""
+    x = np.array(x0, dtype=float)
+    return PhaseResult(x, action_value(x, config), 0.0, 0, True)
+
+
+CALL_LOG = "HYPCHOREO_TEST_CALL_LOG"
+
+
+def failing_slowly(x0, config, options=None):
+    """A Phase 1 that logs its call to the file named by $HYPCHOREO_TEST_CALL_LOG,
+    then raises after 0.2 s."""
+    with open(os.environ[CALL_LOG], "a") as log:
+        log.write("call\n")
+    time.sleep(0.2)
+    raise RuntimeError("phase 1 broke")
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +238,7 @@ class TestSweep:
 
     def test_incomplete_family_exit_2(self, circle_solution, capsys, monkeypatch):
         # The member at R = 20 fails: the rows solved before it are still
-        # written, and stderr names where the sweep stopped.
+        # written, and stderr names where and why the sweep stopped.
         newton = optimizer.phase2_newton
 
         def failing_at_20(x0, config, options=None):
@@ -227,7 +251,7 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert lines[0] == "family,R,diff,slope"
         assert [line.split(",")[1] for line in lines[1:]] == ["40.0"]
-        assert err == "sweep stopped at R = 20.0\n"
+        assert err == "sweep stopped at R = 20.0: phase 2 failed: diverged\n"
 
     def test_flat_family_has_no_phase1_bandwidth(self, tmp_path, capsys):
         # A flat file is the flat solution itself: no Phase 1 runs, so a
@@ -365,10 +389,6 @@ class TestSearch:
             expected = "phase 1 iteration limit 1 reached at relative gradient "
         else:
             # Phase 1 "converges" at each (distinct) seed, and Phase 2 fails.
-            def at_seed(x0, config, options=None):
-                x = np.array(x0, dtype=float)
-                return PhaseResult(x, action_value(x, config), 0.0, 0, True)
-
             monkeypatch.setattr(cli, "phase1_bfgs", at_seed)
             monkeypatch.setattr(optimizer, "phase2_newton", diverging)
             expected = "phase 2 failed: diverged"
@@ -383,3 +403,40 @@ class TestSearch:
         assert all(why.startswith(expected) for _, why in dropped)
         # Phase 2 takes the trials in the order of their Phase-1 values.
         assert sorted(trial for trial, _ in dropped) == ["trial   0", "trial   1", "trial   2"]
+
+    def test_pooled_phase1_matches_in_process(self):
+        # Phase 1 in a worker process gives the in-process result bit for bit.
+        config = Configuration(n=3, R=1.5, K=6)
+        starts = [pack_vars(random_seed(config, modes=3, rng_seed=seed)) for seed in range(3)]
+        pooled = cli._phase1_trials(starts, config, Phase1Options())
+        assert len(pooled) == len(starts)
+        for x0, (result, seconds) in zip(starts, pooled):
+            local = phase1_bfgs(x0, config, Phase1Options())
+            assert seconds > 0.0
+            assert result.x.dtype == local.x.dtype and result.x.tobytes() == local.x.tobytes()
+            for field in fields(PhaseResult):
+                if field.name != "x":
+                    assert getattr(result, field.name) == getattr(local, field.name), field.name
+
+    def test_trial_exception_reaches_caller(self, tmp_path, monkeypatch):
+        # A trial that raises stops the search: its exception leaves main,
+        # and the trials not yet started are cancelled, not run.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(cli, "phase1_bfgs", failing_slowly)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one worker
+        raised = []
+
+        def search():
+            try:
+                main(["search", "--n", "2", "--R", "1.5", "--K", "4", "--trials", "20",
+                      "--modes", "2", "--out-dir", str(tmp_path / "found")])
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=search, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in raised] == ["phase 1 broke"]
+        assert len(log.read_text().splitlines()) < 20

@@ -200,6 +200,7 @@ class TestContinueInR:
         out = continue_in_R(family_config, [50.0, 20.0], planar_two_body, thresholds=impossible)
         assert not out.complete
         assert out.failed_at == 50.0
+        assert out.reason.startswith("verification failed: coefficient decay ")
         assert out.members == []
 
     def test_members_are_newton_only(self, planar_two_body, monkeypatch):
@@ -222,6 +223,8 @@ class TestContinueInR:
         family_config = Configuration(n=2, R=1e8, K=4)
         out = continue_in_R(family_config, [1e8, 5.0], planar_two_body, Phase2Options(max_iterations=0))
         assert out.failed_at == 5.0
+        assert out.reason.startswith("phase 2 did not converge: relative gradient ")
+        assert out.reason.endswith(" after 0 Newton steps")
         assert [m.R for m in out.members] == [1e8]
         assert out.members[0].choreo.report.phase2.converged
 
