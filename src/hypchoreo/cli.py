@@ -62,6 +62,10 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INFEASIBLE_SEED = 3
 EXIT_FILE_ERROR = 4
 
+# Newton step cap of sweep's flat solve from the doubled disk orbit.  The
+# bundled orbits need 5 steps, five_body_a 9 and five_body_c (R = 1.2) 13.
+_FLAT_NEWTON_STEPS = 20
+
 _REPORT_ROWS = (
     ("Action", lambda r: f"{r.action:.16g}"),
     ("Number of coefficients", lambda r: str(r.coefficient_count)),
@@ -211,7 +215,7 @@ def cmd_sweep(args) -> int:
     K1 = args.K if args.K is not None else (family.config.K + 1) // 2
     K2 = args.K2 if args.K2 is not None else family.config.K
     if K2 < K1 and not family.config.is_planar:
-        message = f"--K2 {K2} is below the flat solve's phase-1 bandwidth {K1}; pass a larger --K2 or a smaller --K"
+        message = f"--K2 {K2} is below the flat solve's starting bandwidth {K1}; pass a larger --K2 or a smaller --K"
         print(f"hypchoreo sweep: error: {message}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     options2 = Phase2Options(K2=K2)
@@ -221,7 +225,7 @@ def cmd_sweep(args) -> int:
         if not family.config.is_planar:
             planar_config = replace(family.config, R=math.inf, K=K1)
             planar_seed = _fit_bandwidth(TrigPath(family.path.coeffs * family.config.sigma), K1)
-            planar_start = solve_planar(planar_config, planar_seed, Phase1Options(), options2)
+            planar_start = solve_planar(planar_config, planar_seed, replace(options2, max_iterations=_FLAT_NEWTON_STEPS))
         result = continue_in_R(replace(family.config, R=radii[0]), radii, planar_start, options2)
     except (SolveFailure, InfeasibleSeedError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -384,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="continue a family in R and compare to the flat limit")
     p_sweep.add_argument("--family", required=True, help="solution file identifying the family")
     p_sweep.add_argument("--R-list", required=True, help="comma-separated radii, e.g. 10,100,1000")
-    p_sweep.add_argument("--K", type=_at_least(1), default=None, help="phase-1 bandwidth of the flat solve (default half the file's)")
+    p_sweep.add_argument("--K", type=_at_least(1), default=None, help="bandwidth the doubled orbit is cut to before the flat Newton solve (default half the file's)")
     p_sweep.add_argument("--K2", type=_at_least(1), default=None, help="Newton bandwidth of the flat solve and the members (default the file's)")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.set_defaults(handler=cmd_sweep)

@@ -3,11 +3,13 @@
 As the curvature radius R grows, orbits on the disk shrink toward the
 center and, once scaled by sigma (Configuration.sigma: 2 on the disk, 1
 on the plane; the action's coordinate is p = sigma q), converge to
-flat-space orbits at a rate proportional to 1/R^2.  Sweeps exploit this:
-every member is Newton-corrected at K2 (Phase 2 only), from the flat
-solution divided by sigma for the largest R and from the previous member
-after that, which keeps the whole family on one solution branch and
-preserves its rotation and phase gauge along the way.
+flat-space orbits at a rate proportional to 1/R^2.  Sweeps exploit this
+in both directions, with Newton alone (Phase 2 only, at K2).  The flat
+orbit is corrected from the doubled disk orbit sigma q (solve_planar),
+which lies within O(1/R^2) of it.  Every member is then corrected from
+the flat solution divided by sigma for the largest R and from the
+previous member after that, which keeps the whole family on one solution
+branch and preserves its rotation and phase gauge along the way.
 
 The distance between a disk orbit and its flat counterpart is the
 infinity-norm of sigma q_R(t) - q_flat(t) on a dense time grid, at the
@@ -29,11 +31,9 @@ from .action import Configuration
 from .optimizer import (
     Choreography,
     InfeasibleSeedError,
-    Phase1Options,
     Phase2Options,
     SolveFailure,
     _solve_phase2,
-    solve,
 )
 from .trigpath import TrigPath
 from .verify import VerificationThresholds, verify_all
@@ -72,16 +72,39 @@ class ContinuationResult:
         return self.failed_at is None
 
 
+def _newton_solve(config: Configuration, start: TrigPath, opts2: Phase2Options) -> Choreography:
+    """Phase 2 alone from `start` at its bandwidth.  Raises SolveFailure,
+    with the result attached, when Phase 2 failed or did not converge."""
+    choreo = _solve_phase2(config, start, opts2)
+    phase2 = choreo.report.phase2
+    if not phase2.converged:
+        raise SolveFailure(
+            f"phase 2 did not converge: relative gradient {phase2.gradient_rel_norm:.2e}"
+            f" after {phase2.iterations} Newton steps",
+            choreo,
+        )
+    return choreo
+
+
 def solve_planar(
     config: Configuration,
-    seed: TrigPath,
-    options1: Phase1Options | None = None,
+    start: TrigPath,
     options2: Phase2Options | None = None,
 ) -> Choreography:
-    """Two-phase solve of the flat problem (R must be infinite)."""
+    """Newton-only solve of the flat problem (R must be infinite).
+
+    `start` must lie close to a flat orbit, as the doubled disk orbit
+    sigma q does (the disk action is an eps = 1/R^2 perturbation of the
+    flat one).  It is cut or padded to K2 (options2.K2, default 2 K) and
+    Newton-corrected there; there is no Phase 1, so a rough seed goes
+    through `solve`, which takes R = inf.  Raises SolveFailure, with the
+    result attached, when Phase 2 failed or did not converge.
+    """
     if not config.is_planar:
         raise ValueError("solve_planar requires a planar configuration")
-    return solve(config, seed, options1, options2)
+    opts2 = options2 if options2 is not None else Phase2Options()
+    K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
+    return _newton_solve(config, _fit_bandwidth(start, K2), opts2)
 
 
 def center_planar(choreo: Choreography) -> Choreography:
@@ -171,8 +194,8 @@ def continue_in_R(
     the flat solution divided by the disk's sigma (first, largest R) or the
     previous member.  A member must converge and pass verify_all; the sweep
     stops at the first failure and returns the prefix with failed_at and
-    reason set: the SolveFailure or InfeasibleSeedError message, the
-    unconverged Phase 2's final relative gradient and step count, or
+    reason set: the SolveFailure or InfeasibleSeedError message (for an
+    unconverged Phase 2, its final relative gradient and step count), or
     verify_all's failures.
     """
     radii = [float(R) for R in R_list]
@@ -193,15 +216,9 @@ def continue_in_R(
     members: list[FamilyMember] = []
     for R in radii:
         try:
-            choreo = _solve_phase2(replace(family_config, R=R), start, opts2)
+            choreo = _newton_solve(replace(family_config, R=R), start, opts2)
         except (SolveFailure, InfeasibleSeedError) as exc:
             return ContinuationResult(members, failed_at=R, reason=str(exc))
-        phase2 = choreo.report.phase2
-        if not phase2.converged:
-            return ContinuationResult(members, failed_at=R, reason=(
-                f"phase 2 did not converge: relative gradient {phase2.gradient_rel_norm:.2e}"
-                f" after {phase2.iterations} Newton steps"
-            ))
         verdict = verify_all(choreo, thresholds)
         if not verdict.passed:
             return ContinuationResult(members, failed_at=R, reason="verification failed: " + "; ".join(verdict.failures))

@@ -428,6 +428,8 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
     steps = opts.max_iterations
     if grel <= opts.gradient_tolerance:
         return result(x, f, grel, steps, True, at_tolerance)
+    if steps == 0:
+        return result(x, f, grel, 0, False, "iteration limit reached before any Newton step; no Hessian gave a rounding floor")
     if grel <= floor:
         return result(x, f, grel, steps, True, f"converged at the rounding floor {floor:.2e}")
     if best[0] < grel:

@@ -253,6 +253,21 @@ class TestSweep:
         assert [line.split(",")[1] for line in lines[1:]] == ["40.0"]
         assert err == "sweep stopped at R = 20.0: phase 2 failed: diverged\n"
 
+    def test_flat_solve_needs_more_than_ten_newton_steps(self, capsys, monkeypatch):
+        # The doubled five_body_c orbit (R = 1.2) is the bundled start
+        # farthest from its flat orbit: Newton takes 13 steps there, with
+        # no Phase 1.
+        def no_phase1(*args, **kwargs):
+            raise AssertionError("sweep ran Phase 1")
+
+        monkeypatch.setattr(optimizer, "phase1_bfgs", no_phase1)
+        code = main(["sweep", "--family", "bundled:five_body_c", "--R-list", "1000,100,10"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == [1000.0, 100.0, 10.0]
+        assert float(rows[0][3]) == pytest.approx(-2.0, abs=0.1)
+
     def test_flat_family_has_no_phase1_bandwidth(self, tmp_path, capsys):
         # A flat file is the flat solution itself: no Phase 1 runs, so a
         # --K2 below half the file's bandwidth is not an error.

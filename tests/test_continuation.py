@@ -14,13 +14,14 @@ import hypchoreo
 from hypchoreo.action import Configuration
 from hypchoreo.continuation import (
     FamilyMember,
+    _fit_bandwidth,
     center_planar,
     continue_in_R,
     convergence_rate,
     planar_limit_diff,
     solve_planar,
 )
-from hypchoreo.optimizer import Choreography, Phase2Options
+from hypchoreo.optimizer import Choreography, Phase2Options, SolveFailure, solve
 from hypchoreo.solutions import load_bundled
 from hypchoreo.trigpath import TrigPath
 from hypchoreo.verify import SolveReport, VerificationThresholds
@@ -71,6 +72,44 @@ class TestSolvePlanar:
         r_star = critical_circle_radius(2, math.inf)
         a_star = 2.0 * math.pi * r_star ** 2 + math.pi / r_star
         assert planar_two_body.action == pytest.approx(a_star, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, flat_config, options2",
+        [
+            ("figure_eight", Configuration(n=3, R=math.inf, K=27), None),
+            ("relative_a", Configuration(n=5, R=math.inf, K=41, omega=2.8), Phase2Options(K2=99)),
+        ],
+        ids=["fig8", "relative"],
+    )
+    def test_newton_from_doubled_disk_orbit_matches_two_phase(self, name, flat_config, options2):
+        # The two criterion-04 families: Newton alone from sigma q, cut to
+        # K, lands on the orbit that BFGS then Newton finds from there.
+        disk = load_bundled(name)
+        doubled = _fit_bandwidth(TrigPath(disk.path.coeffs * disk.config.sigma), flat_config.K)
+        newton = solve_planar(flat_config, doubled, options2)
+        assert newton.report.phase1 is None and newton.report.phase2.converged
+        newton = center_planar(newton)
+        two_phase = center_planar(solve(flat_config, doubled, options2=options2))
+        assert newton.action == pytest.approx(two_phase.action, rel=1e-14, abs=0.0)
+        assert planar_limit_diff(newton, two_phase) <= 1e-12
+
+    def test_unconverged_newton_raises_with_the_orbit(self):
+        # One Newton step from the omega = 2.8 circle, 10% off its radius,
+        # does not reach the tolerance.
+        k, omega, K = -2, 2.8, 3
+        c = np.zeros(2 * K + 1, dtype=complex)
+        c[K + k] = 1.1 * critical_circle_radius(5, math.inf, k + omega)
+        config = Configuration(n=5, R=math.inf, K=K, omega=omega)
+        with pytest.raises(SolveFailure) as info:
+            solve_planar(config, TrigPath(c), Phase2Options(max_iterations=1))
+        message = str(info.value)
+        assert message.startswith("phase 2 did not converge: relative gradient ")
+        assert message.endswith(" after 1 Newton steps")
+        choreo = info.value.choreography
+        phase2 = choreo.report.phase2
+        assert not phase2.converged and phase2.iterations == 1
+        assert f"relative gradient {phase2.gradient_rel_norm:.2e} " in message
+        assert choreo.config.K == 2 * K and choreo.path.K == 2 * K
 
 
 class TestCenterPlanar:

@@ -535,3 +535,19 @@ class TestPhase2Newton:
         assert out.gradient_rel_norm == out.gradient_norms[1]
         assert np.array_equal(out.x, x0 + steps[0])
         assert out.value == out.values[1]
+
+    def test_no_step_leaves_the_floor_unknown(self, monkeypatch):
+        # With no step allowed no Hessian is assembled, so there is no
+        # rounding floor to report, not a floor of 0.
+        config, x0 = self._start()
+
+        def no_hessian(x, config, order, precise=False):
+            assert order < 2, "a Hessian was assembled"
+            return evaluate(x, config, order=order, precise=precise)
+
+        monkeypatch.setattr(optimizer, "evaluate", no_hessian)
+        out = phase2_newton(x0, config, Phase2Options(max_iterations=0))
+        assert not out.failed and not out.converged
+        assert out.message == "iteration limit reached before any Newton step; no Hessian gave a rounding floor"
+        assert out.iterations == 0 and out.curvature_indices == []
+        assert np.array_equal(out.x, x0) and out.gradient_rel_norm == out.gradient_norms[0]
