@@ -11,7 +11,10 @@ them), and Phase 2 here, in trial order.  A trial's iterates are those
 of an in-process run bit for bit, so the output does not depend on the
 number of workers; each call pays a fixed worker start-up cost.  Each
 worker imports the calling script, so a script that runs search through
-main must call it under `if __name__ == "__main__":`.
+main must call it under `if __name__ == "__main__":`.  sweep corrects
+the whole doubled disk orbit sigma q by Newton alone at --K2 into the
+flat orbit.  A Newton run that stops short is non-convergence in solve
+and sweep; search still writes it.
 
 Exit codes: 0 success; 2 bad arguments, non-convergence or failed
 verification; 3 infeasible seed; 4 unreadable, malformed, or unwritable
@@ -212,20 +215,13 @@ def cmd_sweep(args) -> int:
         print(f"R list {args.R_list!r}: need comma-separated finite positive radii", file=sys.stderr)
         return EXIT_FILE_ERROR
     family = _load_file(args.family)
-    K1 = args.K if args.K is not None else (family.config.K + 1) // 2
-    K2 = args.K2 if args.K2 is not None else family.config.K
-    if K2 < K1 and not family.config.is_planar:
-        message = f"--K2 {K2} is below the flat solve's starting bandwidth {K1}; pass a larger --K2 or a smaller --K"
-        print(f"hypchoreo sweep: error: {message}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    options2 = Phase2Options(K2=K2)
+    options2 = Phase2Options(K2=args.K2 if args.K2 is not None else family.config.K)
 
     try:
         planar_start = family
         if not family.config.is_planar:
-            planar_config = replace(family.config, R=math.inf, K=K1)
-            planar_seed = _fit_bandwidth(TrigPath(family.path.coeffs * family.config.sigma), K1)
-            planar_start = solve_planar(planar_config, planar_seed, replace(options2, max_iterations=_FLAT_NEWTON_STEPS))
+            doubled = TrigPath(family.path.coeffs * family.config.sigma)
+            planar_start = solve_planar(replace(family.config, R=math.inf), doubled, replace(options2, max_iterations=_FLAT_NEWTON_STEPS))
         result = continue_in_R(replace(family.config, R=radii[0]), radii, planar_start, options2)
     except (SolveFailure, InfeasibleSeedError) as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -385,11 +381,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--residual-threshold", type=float, default=1e-8)
     p_verify.set_defaults(handler=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="continue a family in R and compare to the flat limit")
+    # No abbreviations: an old --K is an error, not a prefix of --K2.
+    p_sweep = sub.add_parser("sweep", help="continue a family in R and compare to the flat limit", allow_abbrev=False)
     p_sweep.add_argument("--family", required=True, help="solution file identifying the family")
     p_sweep.add_argument("--R-list", required=True, help="comma-separated radii, e.g. 10,100,1000")
-    p_sweep.add_argument("--K", type=_at_least(1), default=None, help="bandwidth the doubled orbit is cut to before the flat Newton solve (default half the file's)")
-    p_sweep.add_argument("--K2", type=_at_least(1), default=None, help="Newton bandwidth of the flat solve and the members (default the file's)")
+    p_sweep.add_argument("--K2", type=_at_least(1), default=None, help="Newton bandwidth of the flat solve, fitted from the whole doubled orbit, and of the members (default the file's)")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.set_defaults(handler=cmd_sweep)
 
@@ -413,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "K2", None) is not None and args.K is not None and args.K2 < args.K:
+    if getattr(args, "K2", None) is not None and getattr(args, "K", None) is not None and args.K2 < args.K:
         parser.error("--K2 must be at least --K")
     try:
         return args.handler(args)

@@ -9,7 +9,9 @@ orbit is corrected from the doubled disk orbit sigma q (solve_planar),
 which lies within O(1/R^2) of it.  Every member is then corrected from
 the flat solution divided by sigma for the largest R and from the
 previous member after that, which keeps the whole family on one solution
-branch and preserves its rotation and phase gauge along the way.
+branch and preserves its rotation and phase gauge along the way.  Each
+Newton run must converge: the optimizer judges it as it judges `solve`'s
+Phase 2, and a run that stops short raises SolveFailure.
 
 The distance between a disk orbit and its flat counterpart is the
 infinity-norm of sigma q_R(t) - q_flat(t) on a dense time grid, at the
@@ -33,6 +35,7 @@ from .optimizer import (
     InfeasibleSeedError,
     Phase2Options,
     SolveFailure,
+    _require_converged,
     _solve_phase2,
 )
 from .trigpath import TrigPath
@@ -72,20 +75,6 @@ class ContinuationResult:
         return self.failed_at is None
 
 
-def _newton_solve(config: Configuration, start: TrigPath, opts2: Phase2Options) -> Choreography:
-    """Phase 2 alone from `start` at its bandwidth.  Raises SolveFailure,
-    with the result attached, when Phase 2 failed or did not converge."""
-    choreo = _solve_phase2(config, start, opts2)
-    phase2 = choreo.report.phase2
-    if not phase2.converged:
-        raise SolveFailure(
-            f"phase 2 did not converge: relative gradient {phase2.gradient_rel_norm:.2e}"
-            f" after {phase2.iterations} Newton steps",
-            choreo,
-        )
-    return choreo
-
-
 def solve_planar(
     config: Configuration,
     start: TrigPath,
@@ -104,7 +93,7 @@ def solve_planar(
         raise ValueError("solve_planar requires a planar configuration")
     opts2 = options2 if options2 is not None else Phase2Options()
     K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
-    return _newton_solve(config, _fit_bandwidth(start, K2), opts2)
+    return _require_converged(_solve_phase2(config, _fit_bandwidth(start, K2), opts2))
 
 
 def center_planar(choreo: Choreography) -> Choreography:
@@ -216,7 +205,7 @@ def continue_in_R(
     members: list[FamilyMember] = []
     for R in radii:
         try:
-            choreo = _newton_solve(replace(family_config, R=R), start, opts2)
+            choreo = _require_converged(_solve_phase2(replace(family_config, R=R), start, opts2))
         except (SolveFailure, InfeasibleSeedError) as exc:
             return ContinuationResult(members, failed_at=R, reason=str(exc))
         verdict = verify_all(choreo, thresholds)

@@ -493,7 +493,8 @@ def solve(
 
     Phase 1 works at the configuration's bandwidth K; Phase 2 pads to
     options2.K2 (default 2 K).  Raises SolveFailure, with the partial
-    result attached, when a phase reports failure.
+    result attached, when a phase reports failure or Phase 2 did not
+    converge: a Newton run that stops short is not a solution.
     """
     opts2 = options2 if options2 is not None else Phase2Options()
     K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
@@ -504,7 +505,7 @@ def solve(
 
     t0 = time.perf_counter()
     result1 = phase1_bfgs(pack_vars(seed.pad(config.K)), config, options1)
-    return _solve_from_phase1(config, result1, time.perf_counter() - t0, opts2)
+    return _require_converged(_solve_from_phase1(config, result1, time.perf_counter() - t0, opts2))
 
 
 def _solve_from_phase1(
@@ -512,11 +513,14 @@ def _solve_from_phase1(
 ) -> Choreography:
     """The rest of `solve` after a Phase 1 run at config.K that took seconds1:
     its record, then Phase 2 at opts2.K2 (default 2 K).  Raises
-    SolveFailure, with the partial result attached, when a phase failed."""
+    SolveFailure, with the partial result attached, when a phase failed.
+    Unlike `solve` it returns a Phase 2 that stopped unconverged without
+    failing, for `hypchoreo search`: perfbench's `search` workload still
+    expects such an orbit (trial 6 at --rng 0)."""
     K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
     path1 = unpack_vars(result1.x)
     record1 = _phase_record(result1, path1, config, seconds1)
-    if result1.failed and not result1.converged:
+    if result1.failed:
         partial = Choreography(config, path1, SolveReport(phase1=record1))
         raise SolveFailure(f"phase 1 failed: {result1.message}", partial)
     return _solve_phase2(config, path1.pad(K2), opts2, record1)
@@ -535,6 +539,15 @@ def _solve_phase2(
     record2 = _phase_record(result2, path2, config2, time.perf_counter() - t1)
 
     choreo = Choreography(config2, path2, SolveReport(phase1=record1, phase2=record2))
-    if result2.failed and not result2.converged:
+    if result2.failed:
         raise SolveFailure(f"phase 2 failed: {result2.message}", choreo)
+    return choreo
+
+
+def _require_converged(choreo: Choreography) -> Choreography:
+    """choreo, or SolveFailure with it attached when its Phase 2 did not converge."""
+    phase2 = choreo.report.phase2
+    if not phase2.converged:
+        steps = f"relative gradient {phase2.gradient_rel_norm:.2e} after {phase2.iterations} Newton steps"
+        raise SolveFailure(f"phase 2 did not converge: {steps}", choreo)
     return choreo

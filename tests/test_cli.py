@@ -29,6 +29,15 @@ def diverging(x0, config, options=None):
     return PhaseResult(x, action_value(x, config), 1.0, 2, False, failed=True, message="diverged")
 
 
+def stalling(x0, config, options=None):
+    """A Phase 2 that stops at its cap above the floor, without failing."""
+    x = np.array(x0, dtype=float)
+    return PhaseResult(
+        x, action_value(x, config), 1e-3, 10, False,
+        message="iteration limit reached above the rounding floor 1.00e-13",
+    )
+
+
 # Stubs for `search`'s Phase 1 stay at module level: the trials run in
 # spawned worker processes, which import them by name.
 def at_seed(x0, config, options=None):
@@ -131,6 +140,23 @@ class TestSolve:
         assert err == "FAILED: phase 2 failed: diverged\n"
         assert not out_file.exists()
 
+    def test_unconverged_phase2_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A Newton run that stops short without failing is not a solution
+        # either: the same report, verdict and exit, and no file.
+        monkeypatch.setattr(optimizer, "phase2_newton", stalling)
+        out_file = tmp_path / "x.json"
+        code = main(
+            [
+                "solve", "--n", "2", "--R", "20", "--K", "4",
+                "--seed", "1", "--modes", "2", "--out", str(out_file),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "Phase 1" in out and "Phase 2" in out and "1.00e-03" in out
+        assert err == "FAILED: phase 2 did not converge: relative gradient 1.00e-03 after 10 Newton steps\n"
+        assert not out_file.exists()
+
 
 class TestVerify:
     def test_converged_solution_passes(self, circle_solution, capsys):
@@ -182,7 +208,7 @@ class TestSweep:
         code = main(
             [
                 "sweep", "--family", str(circle_solution),
-                "--R-list", "10,50,20", "--K", "4", "--K2", "8",
+                "--R-list", "10,50,20", "--K2", "8",
                 "--out", str(out),
             ]
         )
@@ -203,7 +229,7 @@ class TestSweep:
         code = main(
             [
                 "sweep", "--family", str(circle_solution),
-                "--R-list", "40,20", "--K", "4", "--K2", "8",
+                "--R-list", "40,20", "--K2", "8",
             ]
         )
         out = capsys.readouterr().out
@@ -222,15 +248,18 @@ class TestSweep:
         assert code == 4
 
     def test_K2_below_file_bandwidth_exit_2(self, capsys):
-        # Without --K the flat solve's phase-1 bandwidth comes from the file.
+        # The whole doubled orbit is cut to --K2 = 3, far below the file's
+        # 26; the run is not refused up front, and stderr names the Newton
+        # verdict that stopped it.
         code = main(["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K2", "3"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error:" in err and "Traceback" not in err
+        assert err.startswith(("sweep stopped at R = 10.0: phase 2 ", "FAILED: phase 2 "))
+        assert "Traceback" not in err
 
     def test_flat_solve_failure_exit_2(self, circle_solution, capsys, monkeypatch):
         monkeypatch.setattr(optimizer, "phase2_newton", diverging)
-        code = main(["sweep", "--family", str(circle_solution), "--R-list", "40,20", "--K", "4", "--K2", "8"])
+        code = main(["sweep", "--family", str(circle_solution), "--R-list", "40,20", "--K2", "8"])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
@@ -245,7 +274,7 @@ class TestSweep:
             return (diverging if config.R == 20.0 else newton)(x0, config, options)
 
         monkeypatch.setattr(optimizer, "phase2_newton", failing_at_20)
-        code = main(["sweep", "--family", str(circle_solution), "--R-list", "40,20,10", "--K", "4", "--K2", "8"])
+        code = main(["sweep", "--family", str(circle_solution), "--R-list", "40,20,10", "--K2", "8"])
         out, err = capsys.readouterr()
         assert code == 2
         lines = out.strip().splitlines()
@@ -288,7 +317,9 @@ class TestSweep:
         ["solve", "--n", "1", "--R", "20", "--K", "4", "--seed", "1"],
         ["solve", "--n", "2", "--R", "20", "--K", "4", "--seed", "1", "--modes", "0"],
         ["search", "--n", "2", "--R", "1.5", "--K", "0"],
-        ["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K", "0"],
+        ["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K2", "0"],
+        # sweep has no --K and takes no abbreviations, so --K is not read as --K2.
+        ["sweep", "--family", "bundled:figure_eight", "--R-list", "10", "--K", "4"],
         ["search", "--n", "2", "--R", "1.5", "--K", "4", "--rng", "-1"],
         ["search", "--n", "2", "--R", "1.5", "--K", "4", "--trials", "-3"],
         ["solve", "--n", "2", "--R", "20", "--K", "4", "--seed", "-2"],
@@ -298,7 +329,7 @@ class TestSweep:
         ["search", "--n", "2", "--R", "1.5", "--K", "4", "--omega", "inf"],
     ],
     ids=[
-        "samples_0", "K2_below_K", "n_1", "modes_0", "search_K_0", "sweep_K_0",
+        "samples_0", "K2_below_K", "n_1", "modes_0", "search_K_0", "sweep_K2_0", "sweep_has_no_K",
         "search_rng_negative", "search_trials_negative", "seed_negative",
         "solve_omega_nan", "solve_omega_inf", "search_omega_nan", "search_omega_inf",
     ],

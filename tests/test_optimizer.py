@@ -144,6 +144,44 @@ class TestMinimizeBfgs:
         assert out.converged and not out.failed
         assert np.linalg.norm(out.x - c) <= 1e-11 * np.linalg.norm(c)
 
+    def test_steepest_descent_when_not_a_descent_direction(self, monkeypatch):
+        # An update that leaves -I makes -Hinv g point uphill: the iteration
+        # resets to the identity and steps along -g.  On this quadratic a
+        # unit steepest-descent step is accepted, so every evaluated point
+        # is the previous one minus its gradient.
+        a, b = np.array([0.5, 1.5]), np.array([1.0, 1.0])
+        points = []
+
+        def fun(x):
+            points.append(x.copy())
+            return 0.5 * float(a @ (x - b) ** 2)
+
+        grad = lambda x: a * (x - b)
+        updates = []
+
+        def to_minus_identity(Hinv, s, y, sy):
+            updates.append(sy)
+            Hinv[...] = -np.eye(Hinv.shape[0])
+
+        monkeypatch.setattr(optimizer, "_bfgs_update", to_minus_identity)
+        out = minimize_bfgs(fun, grad, np.zeros(2), Phase1Options(gradient_tolerance=1e-8))
+        assert out.converged and not out.failed
+        assert len(updates) == out.iterations >= 2
+        assert len(points) == out.iterations + 1
+        for before, after in zip(points, points[1:]):
+            assert np.array_equal(after, before - grad(before))
+
+    def test_step_too_small_to_move_x(self):
+        # The first step, 2e-30, vanishes against x = 1: the run stops
+        # with that verdict instead of looping on a zero step.
+        out = minimize_bfgs(
+            lambda x: 1e-30 * float(x @ x), lambda x: 2e-30 * x, np.array([1.0]),
+            Phase1Options(gradient_tolerance=1e-40),
+        )
+        assert not out.converged and not out.failed
+        assert out.message == "stopped: the accepted step is too small to move x"
+        assert out.iterations == 0 and out.x[0] == 1.0
+
     def test_iteration_cap(self):
         fun = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
         grad = lambda x: np.array(
@@ -275,6 +313,11 @@ class TestRandomSeed:
         with pytest.raises(ValueError):
             random_seed(config, modes=0)
 
+    def test_no_feasible_draw_raises(self):
+        # 200 bodies on one-mode paths at 0.6 R cannot keep 0.05 R apart.
+        with pytest.raises(InfeasibleSeedError, match="^no feasible random seed found in 100 draws$"):
+            random_seed(Configuration(n=200, R=2.0, K=3), modes=1)
+
 
 @pytest.fixture(scope="module")
 def circle_solve():
@@ -332,6 +375,25 @@ class TestSolvePlumbing:
         c[4] = 0.3 + 0.1j  # constant path: all bodies coincide
         with pytest.raises(InfeasibleSeedError):
             solve(config, TrigPath(c))
+
+    def test_unconverged_phase2_raises_with_the_orbit(self):
+        # One Newton step from this Phase-1 point stops above the
+        # tolerance and the rounding floor without failing: solve raises,
+        # with both phases' records and the Phase-2 orbit attached.
+        config = Configuration(n=3, R=1.8, K=5)
+        seed = random_seed(config, modes=3, rng_seed=2)
+        with pytest.raises(SolveFailure) as exc:
+            solve(config, seed, options2=Phase2Options(max_iterations=1))
+        choreo = exc.value.choreography
+        phase2 = choreo.report.phase2
+        assert str(exc.value) == (
+            f"phase 2 did not converge: relative gradient {phase2.gradient_rel_norm:.2e} after 1 Newton steps"
+        )
+        assert choreo.report.phase1 is not None and choreo.report.phase1.converged
+        assert not phase2.converged and phase2.iterations == 1
+        assert phase2.gradient_rel_norm > Phase2Options().gradient_tolerance
+        assert choreo.config.K == choreo.path.K == 2 * config.K
+        assert choreo.action == phase2.action
 
     def test_phase1_line_search_failure_raises(self, monkeypatch):
         # A Phase 1 that fails stops the solve before Phase 2, with its
@@ -461,6 +523,19 @@ class TestPhase2Newton:
         assert out.iterations <= 1
         assert "rounding floor" in out.message
         assert "negative curvature" not in out.message
+
+    def test_rounding_floor_after_the_last_allowed_step(self):
+        # The one allowed step lands below the floor of the Hessian it was
+        # taken with, though not below the 1e-16 tolerance: that is
+        # convergence, judged after the loop.
+        orbit = load_bundled("figure_eight")
+        x0 = pack_vars(orbit.path) * (1.0 + 1e-12)
+        out = phase2_newton(x0, orbit.config, Phase2Options(max_iterations=1, gradient_tolerance=1e-16))
+        assert out.converged and not out.failed
+        assert out.iterations == 1
+        assert out.message.startswith("converged at the rounding floor ")
+        floor = float(out.message.split()[-1])
+        assert out.gradient_norms[0] > floor >= out.gradient_rel_norm == out.gradient_norms[1]
 
     def test_infeasible_start_raises(self):
         config = Configuration(n=2, R=1.5, K=2)
