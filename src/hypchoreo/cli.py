@@ -28,7 +28,6 @@ import math
 import multiprocessing
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -37,13 +36,7 @@ import numpy as np
 
 from . import geometry
 from .action import Configuration
-from .continuation import (
-    ContinuationResult,
-    _fit_bandwidth,
-    continue_in_R,
-    convergence_rate,
-    solve_planar,
-)
+from .continuation import ContinuationResult, continue_in_R, convergence_rate, solve_planar
 from .optimizer import (
     Choreography,
     InfeasibleSeedError,
@@ -57,7 +50,7 @@ from .optimizer import (
     solve,
 )
 from .solutions import MalformedSolutionError, load_bundled, load_solution, save_solution
-from .trigpath import TrigPath, nodes, pack_vars
+from .trigpath import TrigPath, _fit_bandwidth, nodes, pack_vars
 from .verify import SolveReport, VerificationThresholds, verify_all
 
 EXIT_OK = 0
@@ -277,15 +270,9 @@ def _distinct(items: list[tuple]) -> list[tuple]:
     return kept
 
 
-def _timed_phase1(phase1, x0, config: Configuration, options: Phase1Options) -> tuple[PhaseResult, float]:
-    """Run phase1 from x0 in a worker process; return its result and seconds."""
-    t0 = time.perf_counter()
-    result = phase1(x0, config, options)
-    return result, time.perf_counter() - t0
-
-
-def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Phase1Options) -> list[tuple[PhaseResult, float]]:
-    """Phase 1 from each start, as (result, seconds) in the order of starts.
+def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Phase1Options) -> list[PhaseResult]:
+    """Phase 1 from each start, in the order of starts; each result
+    carries its own wall time (PhaseResult.seconds).
 
     The runs share spawned worker processes, one per usable CPU (fork is
     unsafe once BLAS threads run); each calls this module's phase1_bfgs.
@@ -295,7 +282,7 @@ def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Pha
     workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
-        futures = [pool.submit(_timed_phase1, phase1_bfgs, x0, config, options) for x0 in starts]
+        futures = [pool.submit(phase1_bfgs, x0, config, options) for x0 in starts]
         return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -324,16 +311,16 @@ def cmd_search(args) -> int:
         if trial in infeasible:
             drop(trial, f"infeasible seed: {infeasible[trial]}")
             continue
-        result, seconds = runs[trial]
+        result = runs[trial]
         if result.converged:
-            candidates.append((result.value, trial, result, seconds))
+            candidates.append((result.value, trial, result))
         else:
             drop(trial, f"phase 1 {result.message}")
 
     solved = []
-    for _, trial, result, seconds in _distinct(candidates):
+    for _, trial, result in _distinct(candidates):
         try:
-            choreo = _solve_from_phase1(config, result, seconds, options2)
+            choreo = _solve_from_phase1(config, result, options2)
         except (SolveFailure, InfeasibleSeedError) as exc:
             drop(trial, str(exc))
             continue

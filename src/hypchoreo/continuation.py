@@ -38,7 +38,8 @@ from .optimizer import (
     _require_converged,
     _solve_phase2,
 )
-from .trigpath import TrigPath
+# _fit_bandwidth lived here; perfbench/workloads.py still imports it from here.
+from .trigpath import TrigPath, _fit_bandwidth  # noqa: F401
 from .verify import VerificationThresholds, verify_all
 
 __all__ = [
@@ -84,16 +85,15 @@ def solve_planar(
 
     `start` must lie close to a flat orbit, as the doubled disk orbit
     sigma q does (the disk action is an eps = 1/R^2 perturbation of the
-    flat one).  It is cut or padded to K2 (options2.K2, default 2 K) and
-    Newton-corrected there; there is no Phase 1, so a rough seed goes
-    through `solve`, which takes R = inf.  Raises SolveFailure, with the
-    result attached, when Phase 2 failed or did not converge.
+    flat one).  `_solve_phase2` cuts or pads it to K2 (options2.K2,
+    default 2 K) and Newton-corrects it there; there is no Phase 1, so a
+    rough seed goes through `solve`, which takes R = inf.  Raises
+    SolveFailure, with the result attached, when Phase 2 failed or did not
+    converge.
     """
     if not config.is_planar:
         raise ValueError("solve_planar requires a planar configuration")
-    opts2 = options2 if options2 is not None else Phase2Options()
-    K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
-    return _require_converged(_solve_phase2(config, _fit_bandwidth(start, K2), opts2))
+    return _require_converged(_solve_phase2(config, start, options2))
 
 
 def center_planar(choreo: Choreography) -> Choreography:
@@ -110,16 +110,6 @@ def center_planar(choreo: Choreography) -> Choreography:
     c = choreo.path.coeffs.copy()
     c[choreo.path.K] = 0.0
     return replace(choreo, path=TrigPath(c))
-
-
-def _fit_bandwidth(path: TrigPath, K: int) -> TrigPath:
-    """Pad or truncate the centered coefficient vector to bandwidth K."""
-    if path.K == K:
-        return path
-    if path.K < K:
-        return path.pad(K)
-    mid = path.K
-    return TrigPath(path.coeffs[mid - K : mid + K + 1])
 
 
 def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
@@ -179,13 +169,13 @@ def continue_in_R(
 ) -> ContinuationResult:
     """Newton-only sweep over descending curvature radii.
 
-    Each member is Newton-corrected at K2 (options2.K2, default 2 K) from
-    the flat solution divided by the disk's sigma (first, largest R) or the
-    previous member.  A member must converge and pass verify_all; the sweep
-    stops at the first failure and returns the prefix with failed_at and
-    reason set: the SolveFailure or InfeasibleSeedError message (for an
-    unconverged Phase 2, its final relative gradient and step count), or
-    verify_all's failures.
+    Each member is Newton-corrected by `_solve_phase2` at K2 (options2.K2,
+    default 2 K) from the flat solution divided by the disk's sigma (first,
+    largest R), cut or padded to K2, or from the previous member.  A member
+    must converge and pass verify_all; the sweep stops at the first failure
+    and returns the prefix with failed_at and reason set: the SolveFailure
+    or InfeasibleSeedError message (for an unconverged Phase 2, its final
+    relative gradient and step count), or verify_all's failures.
     """
     radii = [float(R) for R in R_list]
     if not radii:
@@ -197,15 +187,13 @@ def continue_in_R(
     if not planar_start.config.is_planar:
         raise ValueError("planar_start must be a flat solution")
 
-    opts2 = options2 if options2 is not None else Phase2Options()
-    K2 = opts2.K2 if opts2.K2 is not None else 2 * family_config.K
     reference = center_planar(planar_start)
     sigma = replace(family_config, R=radii[0]).sigma
-    start = _fit_bandwidth(TrigPath(reference.path.coeffs / sigma), K2)
+    start = TrigPath(reference.path.coeffs / sigma)
     members: list[FamilyMember] = []
     for R in radii:
         try:
-            choreo = _require_converged(_solve_phase2(replace(family_config, R=R), start, opts2))
+            choreo = _require_converged(_solve_phase2(replace(family_config, R=R), start, options2))
         except (SolveFailure, InfeasibleSeedError) as exc:
             return ContinuationResult(members, failed_at=R, reason=str(exc))
         verdict = verify_all(choreo, thresholds)

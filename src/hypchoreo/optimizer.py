@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .action import Configuration, _NodeState, _transform, action_value, evaluate
-from .trigpath import TrigPath, pack_vars, unpack_vars
+from .trigpath import TrigPath, _fit_bandwidth, pack_vars, unpack_vars
 from .verify import PhaseRecord, SolveReport, coefficient_decay, path_residual
 
 __all__ = [
@@ -88,6 +88,14 @@ class SolveFailure(RuntimeError):
         self.choreography = choreography
 
 
+def _check_controls(max_iterations: int, gradient_tolerance: float) -> None:
+    """Reject a negative iteration cap and a tolerance that is not positive (NaN too)."""
+    if not gradient_tolerance > 0.0:
+        raise ValueError("tolerances must be positive")
+    if max_iterations < 0:
+        raise ValueError("iteration caps must not be negative")
+
+
 @dataclass(frozen=True)
 class Phase1Options:
     """BFGS controls: iteration cap and relative gradient tolerance."""
@@ -96,8 +104,7 @@ class Phase1Options:
     gradient_tolerance: float = 1e-7
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
+        _check_controls(self.max_iterations, self.gradient_tolerance)
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,7 @@ class Phase2Options:
     K2: int | None = None
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
+        _check_controls(self.max_iterations, self.gradient_tolerance)
 
 
 @dataclass
@@ -126,7 +132,8 @@ class PhaseResult:
     values and gradient_norms log every accepted iterate, starting with
     the initial point; failed marks line-search failure (Phase 1) or
     divergence or an infeasible step (Phase 2), with the best iterate
-    returned either way.  Both phases name their verdict in message.
+    returned either way.  Both phases name their verdict in message, and
+    seconds is the run's wall time, which the phase record reports.
     curvature_indices holds the index of every Newton step Phase 2 formed:
     the number of Hessian eigenvalues below minus the floor, 0 for a
     Cholesky step.
@@ -139,6 +146,7 @@ class PhaseResult:
     converged: bool
     failed: bool = False
     message: str = ""
+    seconds: float = 0.0
     values: list[float] = field(default_factory=list)
     gradient_norms: list[float] = field(default_factory=list)
     curvature_indices: list[int] = field(default_factory=list)
@@ -198,6 +206,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     move x, or a line search that found no feasible decrease (the only
     one that sets failed).
     """
+    t0 = time.perf_counter()
     opts = options if options is not None else Phase1Options()
     x = np.array(x0, dtype=float)
     f = float(fun(x))
@@ -259,7 +268,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
             return PhaseResult(
                 x, f, grel, iteration, False,
                 failed=True, message="line search found no feasible decrease",
-                values=values, gradient_norms=gnorms,
+                seconds=time.perf_counter() - t0, values=values, gradient_norms=gnorms,
             )
 
         s = x_new - x
@@ -292,7 +301,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
         )
     return PhaseResult(
         x, f, grel, iteration, converged, message=message,
-        values=values, gradient_norms=gnorms,
+        seconds=time.perf_counter() - t0, values=values, gradient_norms=gnorms,
     )
 
 
@@ -351,6 +360,7 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
     negative curvature when there were any; iterations counts the Newton
     steps taken.
     """
+    t0 = time.perf_counter()
     opts = options if options is not None else Phase2Options()
     x = np.array(x0, dtype=float)
     f = float(action_value(x, config))
@@ -373,7 +383,7 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
                 f" (max index {max(indices)})"
             )
         return PhaseResult(
-            x, f, grel, steps, converged, failed=failed, message=message,
+            x, f, grel, steps, converged, failed=failed, message=message, seconds=time.perf_counter() - t0,
             values=values, gradient_norms=gnorms, curvature_indices=indices,
         )
 
@@ -470,11 +480,11 @@ def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> Tri
     raise InfeasibleSeedError("no feasible random seed found in 100 draws")
 
 
-def _phase_record(result: PhaseResult, path: TrigPath, config: Configuration, seconds: float) -> PhaseRecord:
+def _phase_record(result: PhaseResult, path: TrigPath, config: Configuration) -> PhaseRecord:
     return PhaseRecord(
         action=result.value,
         coefficient_count=path.coeffs.size,
-        wall_time_seconds=seconds,
+        wall_time_seconds=result.seconds,
         iterations=result.iterations,
         gradient_rel_norm=result.gradient_rel_norm,
         smallest_coefficient=coefficient_decay(path),
@@ -496,47 +506,45 @@ def solve(
     result attached, when a phase reports failure or Phase 2 did not
     converge: a Newton run that stops short is not a solution.
     """
-    opts2 = options2 if options2 is not None else Phase2Options()
-    K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
-    if K2 < config.K:
+    if options2 is not None and options2.K2 is not None and options2.K2 < config.K:
         raise ValueError("padded bandwidth K2 must be at least the Phase 1 bandwidth")
     if seed.K > config.K:
         raise ValueError("seed bandwidth exceeds the configuration bandwidth")
 
-    t0 = time.perf_counter()
     result1 = phase1_bfgs(pack_vars(seed.pad(config.K)), config, options1)
-    return _require_converged(_solve_from_phase1(config, result1, time.perf_counter() - t0, opts2))
+    return _require_converged(_solve_from_phase1(config, result1, options2))
 
 
-def _solve_from_phase1(
-    config: Configuration, result1: PhaseResult, seconds1: float, opts2: Phase2Options
-) -> Choreography:
-    """The rest of `solve` after a Phase 1 run at config.K that took seconds1:
-    its record, then Phase 2 at opts2.K2 (default 2 K).  Raises
-    SolveFailure, with the partial result attached, when a phase failed.
-    Unlike `solve` it returns a Phase 2 that stopped unconverged without
-    failing, for `hypchoreo search`: perfbench's `search` workload still
-    expects such an orbit (trial 6 at --rng 0)."""
-    K2 = opts2.K2 if opts2.K2 is not None else 2 * config.K
+def _solve_from_phase1(config: Configuration, result1: PhaseResult, options2: Phase2Options | None) -> Choreography:
+    """The rest of `solve` after a Phase 1 run at config.K: its record, then
+    `_solve_phase2`.  Raises SolveFailure, with the partial result
+    attached, when a phase failed.  Unlike `solve` it returns a Phase 2
+    that stopped unconverged without failing, for `hypchoreo search`:
+    perfbench's `search` workload still expects such an orbit (trial 6
+    at --rng 0)."""
     path1 = unpack_vars(result1.x)
-    record1 = _phase_record(result1, path1, config, seconds1)
+    record1 = _phase_record(result1, path1, config)
     if result1.failed:
         partial = Choreography(config, path1, SolveReport(phase1=record1))
         raise SolveFailure(f"phase 1 failed: {result1.message}", partial)
-    return _solve_phase2(config, path1.pad(K2), opts2, record1)
+    return _solve_phase2(config, path1, options2, record1)
 
 
 def _solve_phase2(
-    config: Configuration, start: TrigPath, opts2: Phase2Options, record1: PhaseRecord | None = None
+    config: Configuration, start: TrigPath, options2: Phase2Options | None = None, record1: PhaseRecord | None = None
 ) -> Choreography:
-    """Phase 2 from the padded `start` at its bandwidth, reported after record1
-    (None when no Phase 1 ran).  Raises SolveFailure, with the result
-    attached, when Phase 2 failed."""
-    config2 = replace(config, K=start.K)
-    t1 = time.perf_counter()
-    result2 = phase2_newton(pack_vars(start), config2, opts2)
+    """Phase 2 of every solve: the one place that picks its bandwidth.
+
+    Newton runs at K2 = options2.K2 (default 2 config.K) from `start` cut
+    or padded to K2, and is reported after record1 (None when no Phase 1
+    ran).  Raises SolveFailure, with the result attached, when Phase 2
+    failed; whether it converged is left to the caller (`_require_converged`).
+    """
+    opts2 = options2 if options2 is not None else Phase2Options()
+    config2 = replace(config, K=opts2.K2 if opts2.K2 is not None else 2 * config.K)
+    result2 = phase2_newton(pack_vars(_fit_bandwidth(start, config2.K)), config2, opts2)
     path2 = unpack_vars(result2.x)
-    record2 = _phase_record(result2, path2, config2, time.perf_counter() - t1)
+    record2 = _phase_record(result2, path2, config2)
 
     choreo = Choreography(config2, path2, SolveReport(phase1=record1, phase2=record2))
     if result2.failed:

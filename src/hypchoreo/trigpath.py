@@ -113,6 +113,16 @@ class TrigPath:
         return TrigPath(np.pad(self.coeffs, (extra, extra)))
 
 
+def _fit_bandwidth(path: TrigPath, K: int) -> TrigPath:
+    """Pad or truncate the centered coefficient vector to bandwidth K."""
+    if path.K == K:
+        return path
+    if path.K < K:
+        return path.pad(K)
+    mid = path.K
+    return TrigPath(path.coeffs[mid - K : mid + K + 1])
+
+
 def pack_vars(path: TrigPath) -> np.ndarray:
     """Flatten to the real optimization vector [Re c, Im c]."""
     return np.concatenate([path.coeffs.real, path.coeffs.imag])

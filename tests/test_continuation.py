@@ -93,6 +93,15 @@ class TestSolvePlanar:
         assert newton.action == pytest.approx(two_phase.action, rel=1e-14, abs=0.0)
         assert planar_limit_diff(newton, two_phase) <= 1e-12
 
+    @pytest.mark.parametrize("K2", [3, 12])
+    def test_start_is_cut_or_padded_to_K2(self, planar_two_body, K2):
+        # The start (bandwidth 8) is cut to K2 = 3 or padded to K2 = 12.
+        config = Configuration(n=2, R=math.inf, K=4)
+        choreo = solve_planar(config, planar_two_body.path, Phase2Options(K2=K2))
+        assert choreo.config.K == choreo.path.K == K2
+        assert choreo.report.phase2.converged
+        assert choreo.action == pytest.approx(planar_two_body.action, rel=1e-12)
+
     def test_unconverged_newton_raises_with_the_orbit(self):
         # One Newton step from the omega = 2.8 circle, 10% off its radius,
         # does not reach the tolerance.
@@ -254,6 +263,16 @@ class TestContinueInR:
             assert member.choreo.report.phase1 is None
             assert member.choreo.report.phase2.converged
             assert member.choreo.config.K == 8
+
+    @pytest.mark.parametrize("K2", [3, 12])
+    def test_start_is_cut_or_padded_to_K2(self, planar_two_body, swept_family, K2):
+        # The flat start (bandwidth 8) is cut to K2 = 3 or padded to K2 = 12.
+        family_config = Configuration(n=2, R=50.0, K=4)
+        out = continue_in_R(family_config, [50.0, 20.0], planar_two_body, Phase2Options(K2=K2))
+        assert out.complete
+        for member, stepwise in zip(out.members, swept_family.members):
+            assert member.choreo.config.K == member.choreo.path.K == K2
+            assert member.choreo.action == pytest.approx(stepwise.choreo.action, rel=1e-12)
 
     def test_unconverged_newton_stops_sweep(self, planar_two_body):
         # At R = 1e8 the flat orbit divided by sigma already meets the

@@ -202,9 +202,15 @@ class TestMinimizeBfgs:
             f"iteration limit 6 reached at relative gradient {g[6]:.2e}; smallest {g[4]:.2e} at iteration 4"
         )
 
-    def test_option_validation(self):
+    @pytest.mark.parametrize("options", [Phase1Options, Phase2Options])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"gradient_tolerance": 0.0}, {"gradient_tolerance": math.nan}, {"max_iterations": -1}],
+        ids=["zero_tolerance", "nan_tolerance", "negative_cap"],
+    )
+    def test_option_validation(self, bad, options):
         with pytest.raises(ValueError):
-            Phase1Options(gradient_tolerance=0.0)
+            options(**bad)
 
     @pytest.mark.parametrize("dim", [110, 306])
     def test_update_matches_product_form(self, dim):
@@ -340,6 +346,25 @@ class TestSolvePlumbing:
         assert ch.action == r2.action
         assert ch.config.K == 2 * config.K
         assert r1.wall_time_seconds >= 0.0 and r2.wall_time_seconds >= 0.0
+
+    def test_records_report_each_phase_seconds(self, monkeypatch):
+        # Each phase times itself, and its record reports that time.
+        results = []
+
+        def keep(run):
+            def kept(*args, **kwargs):
+                results.append(run(*args, **kwargs))
+                return results[-1]
+            return kept
+
+        monkeypatch.setattr(optimizer, "phase1_bfgs", keep(optimizer.phase1_bfgs))
+        monkeypatch.setattr(optimizer, "phase2_newton", keep(optimizer.phase2_newton))
+        config = Configuration(n=3, R=1.8, K=5)
+        report = solve(config, random_seed(config, modes=3, rng_seed=2)).report
+        phase1, phase2 = results
+        assert phase1.seconds > 0.0 and phase2.seconds > 0.0
+        assert report.phase1.wall_time_seconds == phase1.seconds
+        assert report.phase2.wall_time_seconds == phase2.seconds
 
     def test_deterministic(self):
         config = Configuration(n=3, R=1.8, K=5)

@@ -124,6 +124,10 @@ class TestMalformed:
             lambda d: d.update(diagnostics="fast"),
             lambda d: d["diagnostics"].update(phase1={"action": 1.0}),
             lambda d: d["diagnostics"].update(phase2=[1, 2, 3]),
+            # int() would truncate these to a valid n = 3, K = 3, and K = 1.
+            lambda d: d["config"].update(n=3.9),
+            lambda d: d["config"].update(K=3.7),
+            lambda d: d.update(config={**d["config"], "K": True}, coeffs=d["coeffs"][2:5]),
         ],
     )
     def test_rejected(self, mutate):
