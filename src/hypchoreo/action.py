@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,12 @@ class CollisionError(ValueError):
     """Two bodies closer than the collision threshold."""
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise TypeError unless value is an integer; a bool does not count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Problem data: body count, curvature radius, frame rotation, bandwidth.
@@ -118,6 +125,8 @@ class Configuration:
     omega: float = 0.0
 
     def __post_init__(self):
+        _check_integer("n", self.n)
+        _check_integer("K", self.K)
         if self.n < 2:
             raise ValueError("need at least two bodies")
         if not self.R > 0.0:

@@ -58,8 +58,9 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_INFEASIBLE_SEED = 3
 EXIT_FILE_ERROR = 4
 
-# Newton step cap of sweep's flat solve from the doubled disk orbit.  The
-# bundled orbits need 5 steps, five_body_a 9 and five_body_c (R = 1.2) 13.
+# Newton step cap of sweep's flat solve from the doubled disk orbit,
+# scaled to the flat virial radius.  The bundled orbits need 0 to 5
+# steps, five_body_c (R = 1.2) 8.
 _FLAT_NEWTON_STEPS = 20
 
 _REPORT_ROWS = (

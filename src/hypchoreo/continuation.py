@@ -6,7 +6,13 @@ on the plane; the action's coordinate is p = sigma q), converge to
 flat-space orbits at a rate proportional to 1/R^2.  Sweeps exploit this
 in both directions, with Newton alone (Phase 2 only, at K2).  The flat
 orbit is corrected from the doubled disk orbit sigma q (solve_planar),
-which lies within O(1/R^2) of it.  Every member is then corrected from
+which lies within O(1/R^2) of it, after one closed-form step: the flat
+action along the ray through a path x is lam^2 T + V / lam (T kinetic, V
+pair part), exactly on the quadrature grid, so the start is scaled to
+the lam where that is stationary (the virial theorem 2T = V).  That
+fixes the start's size, and with it most of the Newton steps it would
+cost; the law needs eps = 0, so members on the disk get no such step.
+Every member is then corrected from
 the flat solution divided by sigma for the largest R and from the
 previous member after that, which keeps the whole family on one solution
 branch and preserves its rotation and phase gauge along the way.  Each
@@ -19,7 +25,9 @@ least-squares gauge: the time shift and rotation that minimize the
 2-norm of the coefficient difference.  Unlike the kinked sup norm, that
 objective is smooth and its optimum follows a gauge motion of either
 orbit exactly, so the diff is invariant under both motions down to
-rounding.
+rounding.  The shift is found from the objective's shift-dependent part
+alone, so a near-circle, whose objective barely depends on the shift,
+is still aligned to rounding.
 """
 
 from __future__ import annotations
@@ -29,17 +37,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .action import Configuration
+from .action import Configuration, action_value
 from .optimizer import (
     Choreography,
     InfeasibleSeedError,
     Phase2Options,
     SolveFailure,
+    _phase2_config,
     _require_converged,
     _solve_phase2,
 )
-# _fit_bandwidth lived here; perfbench/workloads.py still imports it from here.
-from .trigpath import TrigPath, _fit_bandwidth  # noqa: F401
+# perfbench/workloads.py imports _fit_bandwidth from here.
+from .trigpath import TrigPath, _fit_bandwidth, pack_vars
 from .verify import VerificationThresholds, verify_all
 
 __all__ = [
@@ -85,15 +94,44 @@ def solve_planar(
 
     `start` must lie close to a flat orbit, as the doubled disk orbit
     sigma q does (the disk action is an eps = 1/R^2 perturbation of the
-    flat one).  `_solve_phase2` cuts or pads it to K2 (options2.K2,
-    default 2 K) and Newton-corrects it there; there is no Phase 1, so a
-    rough seed goes through `solve`, which takes R = inf.  Raises
+    flat one).  It is cut or padded to K2 (options2.K2, default 2 K),
+    scaled to where the flat action is stationary along its own ray
+    (`_virial_scaled`: exact in closed form because at eps = 0 the
+    kinetic term is quadratic and the pair term homogeneous of degree
+    -1), and Newton-corrected there; there is no Phase 1, so a rough seed
+    goes through `solve`, which takes R = inf.  Raises
     SolveFailure, with the result attached, when Phase 2 failed or did not
     converge.
     """
     if not config.is_planar:
         raise ValueError("solve_planar requires a planar configuration")
+    config2 = _phase2_config(config, options2)
+    start = _virial_scaled(_fit_bandwidth(start, config2.K), config2)
     return _require_converged(_solve_phase2(config, start, options2))
+
+
+def _virial_scaled(path: TrigPath, config: Configuration) -> TrigPath:
+    """path times lam = (V / 2T)^(1/3), the scale at which the flat action
+    is stationary along the ray through path.
+
+    At eps = 0 the kinetic term is quadratic and the Newtonian pair term
+    homogeneous of degree -1, on the quadrature grid as in the integral,
+    so A(lam x) = lam^2 T + V / lam exactly, with T and V the kinetic and
+    pair parts at x: T = (2 A(2x) - A(x)) / 7 and V = A(x) - T.  At the
+    scaled path d/dlam A(lam x) = g.x = 2T - V = 0 (the virial theorem),
+    which zeroes the curvature along the rotation direction and puts a
+    circular orbit on its radius.  On the disk (eps > 0) the scale a =
+    1 - eps |p|^2 / 4 breaks both homogeneities, so this holds only on
+    the plane.  A path whose parts are not positive and finite (an
+    infeasible one) is returned unchanged.
+    """
+    x = pack_vars(path)
+    value = action_value(x, config)
+    kinetic = (2.0 * action_value(2.0 * x, config) - value) / 7.0
+    pair = value - kinetic
+    if not (kinetic > 0.0 and 0.0 < pair < math.inf):
+        return path
+    return TrigPath(path.coeffs * (pair / (2.0 * kinetic)) ** (1.0 / 3.0))
 
 
 def center_planar(choreo: Choreography) -> Choreography:
@@ -131,20 +169,26 @@ def planar_limit_diff(hyperbolic: Choreography, planar: Choreography) -> float:
     wavenumbers = moving.wavenumbers
 
     # ||sigma e^{i theta} c e^{iks} - p||^2 = const - 2 Re(e^{i theta} S(s))
-    # with the overlap S(s) = sum_k sigma c_k conj(p_k) e^{iks}, so theta = -arg S(s)
-    # and s maximizes |S(s)|: take the best node of a 4x oversampled grid,
-    # then Newton steps on |S|^2, each clipped to half a grid spacing.  A
-    # curvature that is not negative means |S| is flat there (a circle).
+    # with the overlap S(s) = sum_k a_k e^{iks}, a_k = sigma c_k conj(p_k), so
+    # theta = -arg S(s) and s maximizes |S(s)|^2 = sum_m b_m e^{ims}, b the
+    # autocorrelation of a.  Its s-dependent part, b without b_0, is summed
+    # directly: formed as |S|^2 it would drown in the rounding of the
+    # dominant mode's constant |a_k|^2 wherever the rest is below sqrt(eps)
+    # of it (a circle plus a small mean), and leave s arbitrary.  Take the
+    # best node of a 4x oversampled grid, then Newton steps on that part,
+    # each clipped to half a grid spacing.  A curvature that is not negative
+    # means |S| is flat there (a circle).
     overlap = TrigPath(sigma * moving.coeffs * np.conj(reference))
+    power = np.correlate(overlap.coeffs, overlap.coeffs, "full")
+    power[overlap.coeffs.size - 1] = 0.0
+    power = TrigPath(power)
     grid = 4 * overlap.coeffs.size
-    s = 2.0 * np.pi * int(np.argmax(np.abs(overlap.at_nodes(grid)))) / grid
+    s = 2.0 * np.pi * int(np.argmax(power.at_nodes(grid).real)) / grid
+    m = power.wavenumbers
     for _ in range(8):
-        terms = overlap.shift(s).coeffs
-        S = terms.sum()
-        dS = np.sum(1j * wavenumbers * terms)
-        d2S = -np.sum(wavenumbers ** 2 * terms)
-        slope = (np.conj(S) * dS).real
-        curvature = abs(dS) ** 2 + (np.conj(S) * d2S).real
+        terms = power.shift(s).coeffs
+        slope = np.sum(1j * m * terms).real
+        curvature = -np.sum(m ** 2 * terms).real
         if not curvature < 0.0:
             break
         s += float(np.clip(-slope / curvature, -np.pi / grid, np.pi / grid))

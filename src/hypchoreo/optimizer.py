@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .action import Configuration, _NodeState, _transform, action_value, evaluate
+from .action import Configuration, _NodeState, _check_integer, _transform, action_value, evaluate
 from .trigpath import TrigPath, _fit_bandwidth, pack_vars, unpack_vars
 from .verify import PhaseRecord, SolveReport, coefficient_decay, path_residual
 
@@ -109,7 +109,7 @@ class Phase1Options:
 
 @dataclass(frozen=True)
 class Phase2Options:
-    """Newton controls; K2 is the padded bandwidth (None means 2 K1).
+    """Newton controls; K2 is the padded bandwidth, an integer >= 1 (None means 2 K1).
 
     The iteration converges when the relative gradient norm reaches
     gradient_tolerance or, when that lies below what float64 coefficients
@@ -123,6 +123,10 @@ class Phase2Options:
 
     def __post_init__(self):
         _check_controls(self.max_iterations, self.gradient_tolerance)
+        if self.K2 is not None:
+            _check_integer("K2", self.K2)
+            if self.K2 < 1:
+                raise ValueError("padded bandwidth K2 must be at least 1")
 
 
 @dataclass
@@ -530,18 +534,25 @@ def _solve_from_phase1(config: Configuration, result1: PhaseResult, options2: Ph
     return _solve_phase2(config, path1, options2, record1)
 
 
+def _phase2_config(config: Configuration, options2: Phase2Options | None) -> Configuration:
+    """config at Phase 2's bandwidth K2: options2.K2, default 2 config.K."""
+    K2 = options2.K2 if options2 is not None else None
+    return replace(config, K=K2 if K2 is not None else 2 * config.K)
+
+
 def _solve_phase2(
     config: Configuration, start: TrigPath, options2: Phase2Options | None = None, record1: PhaseRecord | None = None
 ) -> Choreography:
-    """Phase 2 of every solve: the one place that picks its bandwidth.
+    """Phase 2 of every solve.
 
-    Newton runs at K2 = options2.K2 (default 2 config.K) from `start` cut
-    or padded to K2, and is reported after record1 (None when no Phase 1
-    ran).  Raises SolveFailure, with the result attached, when Phase 2
-    failed; whether it converged is left to the caller (`_require_converged`).
+    Newton runs at K2 (`_phase2_config`: options2.K2, default 2 config.K)
+    from `start` cut or padded to K2, and is reported after record1 (None
+    when no Phase 1 ran).  Raises SolveFailure, with the result attached,
+    when Phase 2 failed; whether it converged is left to the caller
+    (`_require_converged`).
     """
     opts2 = options2 if options2 is not None else Phase2Options()
-    config2 = replace(config, K=opts2.K2 if opts2.K2 is not None else 2 * config.K)
+    config2 = _phase2_config(config, opts2)
     result2 = phase2_newton(pack_vars(_fit_bandwidth(start, config2.K)), config2, opts2)
     path2 = unpack_vars(result2.x)
     record2 = _phase_record(result2, path2, config2)

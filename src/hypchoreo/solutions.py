@@ -104,13 +104,11 @@ def solution_from_dict(data) -> Choreography:
         raise MalformedSolutionError(f"missing key {exc}") from None
 
     try:
-        n, R, K = raw_config["n"], raw_config["R"], raw_config["K"]
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (n, K)):
-            raise TypeError(f"n and K must be integers, got {n!r} and {K!r}")
+        R = raw_config["R"]
         config = Configuration(
-            n=n,
+            n=raw_config["n"],
             R=math.inf if R == "planar" else float(R),
-            K=K,
+            K=raw_config["K"],
             omega=float(raw_config.get("omega", 0.0)),
         )
     except (KeyError, TypeError, ValueError) as exc:

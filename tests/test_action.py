@@ -501,6 +501,18 @@ class TestConfigurationValidation:
             with pytest.raises(ValueError, match="omega"):
                 Configuration(n=3, R=1.0, K=3, omega=omega)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n": 2.5}, {"K": 2.5}, {"n": 3.0}, {"n": True}, {"K": True}],
+        ids=["n_fraction", "K_fraction", "n_float", "n_bool", "K_bool"],
+    )
+    def test_rejects_non_integer_sizes(self, fields):
+        with pytest.raises(TypeError, match="must be an integer"):
+            Configuration(**{"n": 3, "R": 2.0, "K": 3, **fields})
+
+    def test_accepts_numpy_integers(self):
+        assert Configuration(n=np.int64(3), R=2.0, K=np.int32(3)).n_vars == 14
+
     def test_derived_sizes(self):
         config = Configuration(n=3, R=1.5, K=27)
         assert config.n_coefficients == 55

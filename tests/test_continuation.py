@@ -11,10 +11,11 @@ import pytest
 from scipy.optimize import brentq
 
 import hypchoreo
-from hypchoreo.action import Configuration
+from hypchoreo.action import Configuration, action_gradient, action_value
 from hypchoreo.continuation import (
     FamilyMember,
     _fit_bandwidth,
+    _virial_scaled,
     center_planar,
     continue_in_R,
     convergence_rate,
@@ -23,7 +24,7 @@ from hypchoreo.continuation import (
 )
 from hypchoreo.optimizer import Choreography, Phase2Options, SolveFailure, solve
 from hypchoreo.solutions import load_bundled
-from hypchoreo.trigpath import TrigPath
+from hypchoreo.trigpath import TrigPath, pack_vars
 from hypchoreo.verify import SolveReport, VerificationThresholds
 
 
@@ -103,11 +104,14 @@ class TestSolvePlanar:
         assert choreo.action == pytest.approx(planar_two_body.action, rel=1e-12)
 
     def test_unconverged_newton_raises_with_the_orbit(self):
-        # One Newton step from the omega = 2.8 circle, 10% off its radius,
-        # does not reach the tolerance.
+        # One Newton step from the omega = 2.8 circle, 10% off its radius
+        # and with a 5% harmonic beside it, does not reach the tolerance:
+        # the scaling of the start puts only the radius right.
         k, omega, K = -2, 2.8, 3
+        r = critical_circle_radius(5, math.inf, k + omega)
         c = np.zeros(2 * K + 1, dtype=complex)
-        c[K + k] = 1.1 * critical_circle_radius(5, math.inf, k + omega)
+        c[K + k] = 1.1 * r
+        c[K + k + 1] = 0.05 * r
         config = Configuration(n=5, R=math.inf, K=K, omega=omega)
         with pytest.raises(SolveFailure) as info:
             solve_planar(config, TrigPath(c), Phase2Options(max_iterations=1))
@@ -119,6 +123,41 @@ class TestSolvePlanar:
         assert not phase2.converged and phase2.iterations == 1
         assert f"relative gradient {phase2.gradient_rel_norm:.2e} " in message
         assert choreo.config.K == 2 * K and choreo.path.K == 2 * K
+
+    def test_off_radius_circle_needs_no_newton_step(self):
+        # The scaling of the start puts the omega = 2.8 circle, 10% off its
+        # radius, on its radius: Newton converges before its first step, to
+        # the closed-form action 2 pi (n/2) (r^2 s^2 + sum_j 1 / (r chi_j)).
+        n, k, omega, K = 5, -2, 2.8, 3
+        r = critical_circle_radius(n, math.inf, k + omega)
+        c = np.zeros(2 * K + 1, dtype=complex)
+        c[K + k] = 1.1 * r
+        choreo = solve_planar(Configuration(n=n, R=math.inf, K=K, omega=omega), TrigPath(c))
+        assert choreo.report.phase2.converged and choreo.report.phase2.iterations == 0
+        pair = sum(1.0 / (r * 2.0 * math.sin(math.pi * j / n)) for j in range(1, n))
+        closed_form = math.pi * n * (r * r * (k + omega) ** 2 + pair)
+        assert choreo.action == pytest.approx(closed_form, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "name, flat_config",
+        [
+            ("figure_eight", Configuration(n=3, R=math.inf, K=27)),
+            ("relative_b", Configuration(n=5, R=math.inf, K=81, omega=2.8)),
+        ],
+        ids=["fig8", "relative_b"],
+    )
+    def test_scaled_start_is_stationary_along_its_ray(self, name, flat_config):
+        # d/dlam A(lam x) at lam = 1 is g.x, zero to rounding after the
+        # scaling, and far from zero before it.
+        disk = load_bundled(name)
+        doubled = _fit_bandwidth(TrigPath(disk.path.coeffs * disk.config.sigma), flat_config.K)
+
+        def ray_slope(path):
+            x = pack_vars(path)
+            return float(action_gradient(x, flat_config, precise=True) @ x) / action_value(x, flat_config)
+
+        assert abs(ray_slope(doubled)) > 1e-4
+        assert abs(ray_slope(_virial_scaled(doubled, flat_config))) <= 1e-13
 
 
 class TestCenterPlanar:
@@ -142,6 +181,17 @@ class TestCenterPlanar:
 class TestPlanarLimitDiff:
     def test_solution_against_itself_is_zero(self, planar_two_body):
         assert planar_limit_diff(planar_two_body, planar_two_body) <= 1e-12
+
+    @pytest.mark.parametrize("mean", [1e-9, 5.45e-9, 3e-8])
+    def test_circle_with_small_mean_against_itself_is_zero(self, mean):
+        # The mean moves |S(s)|^2 by about (mean / r)^2 of itself, below
+        # rounding: the shift must come from the overlap's variation alone.
+        config = Configuration(n=2, R=math.inf, K=8)
+        c = np.zeros(17, dtype=complex)
+        c[9] = 0.63
+        c[8] = mean * np.exp(0.4j)
+        orbit = Choreography(config, TrigPath(c), SolveReport())
+        assert planar_limit_diff(orbit, orbit) <= 1e-20
 
     def test_halved_and_gauged_copy_is_recovered(self, planar_two_body):
         # Half the flat orbit, rotated and shifted: the factor-2 doubling

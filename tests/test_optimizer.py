@@ -212,6 +212,15 @@ class TestMinimizeBfgs:
         with pytest.raises(ValueError):
             options(**bad)
 
+    @pytest.mark.parametrize(
+        "K2, error",
+        [(2.5, TypeError), (True, TypeError), (0, ValueError), (-3, ValueError)],
+        ids=["fraction", "bool", "zero", "negative"],
+    )
+    def test_K2_validation(self, K2, error):
+        with pytest.raises(error):
+            Phase2Options(K2=K2)
+
     @pytest.mark.parametrize("dim", [110, 306])
     def test_update_matches_product_form(self, dim):
         rng = np.random.default_rng(dim)
