@@ -6,15 +6,16 @@ export (orbit samples or coefficient magnitudes as CSV), and search
 (multi-seed random exploration).
 
 search draws every seed in this process, then runs the trials' Phase 1
-in spawned worker processes, one per usable CPU (so `taskset` limits
-them), and Phase 2 here, in trial order.  A trial's iterates are those
-of an in-process run bit for bit, so the output does not depend on the
-number of workers; each call pays a fixed worker start-up cost.  Each
-worker imports the calling script, so a script that runs search through
-main must call it under `if __name__ == "__main__":`.  sweep corrects
-the whole doubled disk orbit sigma q by Newton alone at --K2 into the
-flat orbit.  A Newton run that stops short is non-convergence in solve
-and sweep; search still writes it.
+here and in spawned worker processes, one fewer than usable CPUs (so
+`taskset` limits them; one CPU spawns none), and Phase 2 here, in trial
+order.  A trial's iterates are those of an in-process run bit for bit,
+so the output does not depend on where each trial ran; this process
+runs trials while the workers start.  Each worker imports the calling
+script, so a script that runs search through main must call it under
+`if __name__ == "__main__":`.  sweep corrects the whole doubled disk
+orbit sigma q by Newton alone at --K2 into the flat orbit.  A Newton run
+that stops short is non-convergence in solve and sweep; search still
+writes it.
 
 Exit codes: 0 success; 2 bad arguments, non-convergence or failed
 verification; 3 infeasible seed; 4 unreadable, malformed, or unwritable
@@ -275,16 +276,29 @@ def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Pha
     """Phase 1 from each start, in the order of starts; each result
     carries its own wall time (PhaseResult.seconds).
 
-    The runs share spawned worker processes, one per usable CPU (fork is
-    unsafe once BLAS threads run); each calls this module's phase1_bfgs.
-    The first run that raises stops the rest and its exception is raised
-    here.
+    Each run calls this module's phase1_bfgs.  With one usable CPU, or
+    one start, every run is made here.  Otherwise every run is queued to
+    spawned worker processes, one fewer than usable CPUs (fork is unsafe
+    once BLAS threads run).  The workers take runs from the front; this
+    process takes from the back each run no worker has taken yet (its
+    Future.cancel succeeds), so each run is made once.  A run made here
+    that raises stops this process taking runs, and the runs still
+    queued are cancelled; a worker's run that raises does the same when
+    its result is read, in the order of starts.  Either exception is
+    raised here.
     """
-    workers = max(1, min(len(os.sched_getaffinity(0)), len(starts)))
+    workers = min(len(os.sched_getaffinity(0)), len(starts)) - 1
+    if workers < 1:
+        return [phase1_bfgs(x0, config, options) for x0 in starts]
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         futures = [pool.submit(phase1_bfgs, x0, config, options) for x0 in starts]
-        return [future.result() for future in futures]
+        local = {}
+        for index in reversed(range(len(starts))):
+            if not futures[index].cancel():
+                break
+            local[index] = phase1_bfgs(starts[index], config, options)
+        return [local[index] if index in local else future.result() for index, future in enumerate(futures)]
     finally:
         pool.shutdown(cancel_futures=True)
 

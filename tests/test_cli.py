@@ -58,6 +58,18 @@ def failing_slowly(x0, config, options=None):
     raise RuntimeError("phase 1 broke")
 
 
+def stamping_pid(x0, config, options=None):
+    """A Phase 1 that logs its call like failing_slowly, then "converges" at
+    its start after 0.05 s, with the id of the process that ran it as its
+    message.  The sleep lets the pool hand the worker its first trials
+    before the calling process has taken them all."""
+    with open(os.environ[CALL_LOG], "a") as log:
+        log.write("call\n")
+    time.sleep(0.05)
+    x = np.array(x0, dtype=float)
+    return PhaseResult(x, 0.0, 0.0, 0, True, message=str(os.getpid()))
+
+
 @pytest.fixture(scope="module")
 def circle_solution(tmp_path_factory):
     """A solved two-body disk orbit at R=20, written by the CLI itself."""
@@ -486,3 +498,83 @@ class TestSearch:
         assert not thread.is_alive()
         assert [str(exc) for exc in raised] == ["phase 1 broke"]
         assert len(log.read_text().splitlines()) < 20
+
+    def test_one_cpu_spawns_no_process(self, monkeypatch):
+        # With one usable CPU every trial runs in this process, bit for bit
+        # as phase1_bfgs does.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        config = Configuration(n=3, R=1.5, K=6)
+        starts = [pack_vars(random_seed(config, modes=3, rng_seed=seed)) for seed in range(3)]
+        results = cli._phase1_trials(starts, config, Phase1Options())
+        assert len(results) == len(starts)
+        for x0, result in zip(starts, results):
+            local = phase1_bfgs(x0, config, Phase1Options())
+            assert result.x.dtype == local.x.dtype and result.x.tobytes() == local.x.tobytes()
+            for field in fields(PhaseResult):
+                if field.name not in ("x", "seconds"):
+                    assert getattr(result, field.name) == getattr(local, field.name), field.name
+
+    def test_caller_and_worker_share_trials(self, tmp_path, monkeypatch):
+        # With two usable CPUs one worker takes trials from the front while
+        # this process takes them from the back; each trial runs once, and
+        # the results come in trial order.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "phase1_bfgs", stamping_pid)
+        starts = [np.full(3, float(trial)) for trial in range(8)]
+        results = cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+        assert [result.x.tolist() for result in results] == [x0.tolist() for x0 in starts]
+        pids = {int(result.message) for result in results}
+        assert os.getpid() in pids and len(pids) == 2
+        assert len(log.read_text().splitlines()) == len(starts)
+
+    def test_trial_exception_reaches_caller_on_two_cpus(self, tmp_path, monkeypatch):
+        # A trial that raises, in this process or in the worker, stops the
+        # search: its exception leaves main, and the queued trials are
+        # cancelled, not run.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(cli, "phase1_bfgs", failing_slowly)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # this process and one worker
+        raised = []
+
+        def search():
+            try:
+                main(["search", "--n", "2", "--R", "1.5", "--K", "4", "--trials", "20",
+                      "--modes", "2", "--out-dir", str(tmp_path / "found")])
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=search, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert [str(exc) for exc in raised] == ["phase 1 broke"]
+        assert len(log.read_text().splitlines()) < 20
+
+    def test_output_same_on_one_and_two_cpus(self, tmp_path, capsys, monkeypatch):
+        # Where each trial's Phase 1 runs does not change stdout, stderr or
+        # the files (but for their wall times).
+        outputs = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            run_dir = tmp_path / str(len(cpus))
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            code = main(["search", "--n", "2", "--R", "1.5", "--K", "4", "--K2", "8", "--trials", "3",
+                         "--modes", "2", "--rng", "5", "--out-dir", "found"])
+            out, err = capsys.readouterr()
+            docs = {}
+            for path in sorted((run_dir / "found").iterdir()):
+                docs[path.name] = json.loads(path.read_text())
+                for phase in docs[path.name]["diagnostics"].values():
+                    phase.pop("wall_time_seconds")
+            outputs.append((code, out, err, docs))
+        assert outputs[0] == outputs[1]
+        code, out, err, docs = outputs[0]
+        assert code == 0 and "dropped" in err and list(docs) == ["search_000.json"]
