@@ -13,13 +13,13 @@ so the output does not depend on where each trial ran; this process
 runs trials while the workers start.  Each worker imports the calling
 script, so a script that runs search through main must call it under
 `if __name__ == "__main__":`.  sweep corrects the whole doubled disk
-orbit sigma q by Newton alone at --K2 into the flat orbit.  A Newton run
-that stops short is non-convergence in solve and sweep; search still
-writes it.
+orbit sigma q by Newton alone at --K2 into the flat orbit.  The optimizer
+judges every Newton run; search alone still writes one that stopped
+short without failing, and names it on stderr.
 
 Exit codes: 0 success; 2 bad arguments, non-convergence or failed
-verification; 3 infeasible seed; 4 unreadable, malformed, or unwritable
-files.
+verification; 3 infeasible seed or random draw; 4 unreadable, malformed,
+or unwritable files.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .optimizer import (
     PhaseResult,
     SolveFailure,
     _solve_from_phase1,
+    _Unconverged,
     phase1_bfgs,
     random_seed,
     solve,
@@ -115,8 +116,6 @@ def _seed_token(text: str) -> str:
 
 def _format_report(report: SolveReport) -> str:
     records = [(label, rec) for label, rec in (("Phase 1", report.phase1), ("Phase 2", report.phase2)) if rec is not None]
-    if not records:
-        return "(no diagnostics)"
     width = max(len(label) for label, _ in _REPORT_ROWS) + 2
     lines = [" " * width + "".join(f"{label:>18}" for label, _ in records)]
     for label, fmt in _REPORT_ROWS:
@@ -154,9 +153,8 @@ def _f(value) -> str:
 def cmd_solve(args) -> int:
     config = Configuration(n=args.n, R=args.R, K=args.K, omega=args.omega)
     seed = _resolve_seed(args.seed, config, args.modes)
-    options2 = Phase2Options(K2=args.K2)
     try:
-        choreo = solve(config, seed, Phase1Options(), options2)
+        choreo = solve(config, seed, Phase1Options(), Phase2Options(K2=args.K2))
     except SolveFailure as exc:
         print(_format_report(exc.choreography.report))
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -218,7 +216,7 @@ def cmd_sweep(args) -> int:
             doubled = TrigPath(family.path.coeffs * family.config.sigma)
             planar_start = solve_planar(replace(family.config, R=math.inf), doubled, replace(options2, max_iterations=_FLAT_NEWTON_STEPS))
         result = continue_in_R(replace(family.config, R=radii[0]), radii, planar_start, options2)
-    except (SolveFailure, InfeasibleSeedError) as exc:
+    except SolveFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -335,11 +333,14 @@ def cmd_search(args) -> int:
     solved = []
     for _, trial, result in _distinct(candidates):
         try:
-            choreo = _solve_from_phase1(config, result, options2)
-        except (SolveFailure, InfeasibleSeedError) as exc:
+            choreo, verdict = _solve_from_phase1(config, result, options2), None
+        except _Unconverged as exc:
+            # perfbench's SEARCH_ACTIONS still pins such a trial (ROADMAP item 1).
+            choreo, verdict = exc.choreography, str(exc)
+        except SolveFailure as exc:
             drop(trial, str(exc))
             continue
-        solved.append((choreo.action, trial, choreo))
+        solved.append((choreo.action, trial, choreo, verdict))
 
     kept = _distinct(solved)
     if not kept:
@@ -348,9 +349,11 @@ def cmd_search(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for index, (action, trial, choreo) in enumerate(kept):
+    for index, (action, trial, choreo, verdict) in enumerate(kept):
         target = out_dir / f"search_{index:03d}.json"
         save_solution(target, choreo)
+        if verdict is not None:
+            print(f"trial {trial:3d}  kept unconverged: {verdict}", file=sys.stderr)
         print(f"trial {trial:3d}  action {action:.16g}  -> {target}")
     return EXIT_OK
 

@@ -16,8 +16,8 @@ Every member is then corrected from
 the flat solution divided by sigma for the largest R and from the
 previous member after that, which keeps the whole family on one solution
 branch and preserves its rotation and phase gauge along the way.  Each
-Newton run must converge: the optimizer judges it as it judges `solve`'s
-Phase 2, and a run that stops short raises SolveFailure.
+Newton run must converge, as in `solve`: `_solve_phase2` raises
+SolveFailure for an infeasible start, a failed run or one that stops short.
 
 The distance between a disk orbit and its flat counterpart is the
 infinity-norm of sigma q_R(t) - q_flat(t) on a dense time grid, at the
@@ -38,15 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .action import Configuration, action_value
-from .optimizer import (
-    Choreography,
-    InfeasibleSeedError,
-    Phase2Options,
-    SolveFailure,
-    _phase2_config,
-    _require_converged,
-    _solve_phase2,
-)
+from .optimizer import Choreography, Phase2Options, SolveFailure, _phase2_config, _solve_phase2
 # perfbench/workloads.py imports _fit_bandwidth from here.
 from .trigpath import TrigPath, _fit_bandwidth, pack_vars
 from .verify import VerificationThresholds, verify_all
@@ -100,14 +92,14 @@ def solve_planar(
     kinetic term is quadratic and the pair term homogeneous of degree
     -1), and Newton-corrected there; there is no Phase 1, so a rough seed
     goes through `solve`, which takes R = inf.  Raises
-    SolveFailure, with the result attached, when Phase 2 failed or did not
-    converge.
+    SolveFailure, with the result attached, when Phase 2 gives no
+    converged orbit.
     """
     if not config.is_planar:
         raise ValueError("solve_planar requires a planar configuration")
     config2 = _phase2_config(config, options2)
     start = _virial_scaled(_fit_bandwidth(start, config2.K), config2)
-    return _require_converged(_solve_phase2(config, start, options2))
+    return _solve_phase2(config, start, options2)
 
 
 def _virial_scaled(path: TrigPath, config: Configuration) -> TrigPath:
@@ -218,8 +210,8 @@ def continue_in_R(
     largest R), cut or padded to K2, or from the previous member.  A member
     must converge and pass verify_all; the sweep stops at the first failure
     and returns the prefix with failed_at and reason set: the SolveFailure
-    or InfeasibleSeedError message (for an unconverged Phase 2, its final
-    relative gradient and step count), or verify_all's failures.
+    message, which starts "phase 2 " (for an unconverged run it names the
+    final relative gradient and step count), or verify_all's failures.
     """
     radii = [float(R) for R in R_list]
     if not radii:
@@ -237,8 +229,8 @@ def continue_in_R(
     members: list[FamilyMember] = []
     for R in radii:
         try:
-            choreo = _require_converged(_solve_phase2(replace(family_config, R=R), start, options2))
-        except (SolveFailure, InfeasibleSeedError) as exc:
+            choreo = _solve_phase2(replace(family_config, R=R), start, options2)
+        except SolveFailure as exc:
             return ContinuationResult(members, failed_at=R, reason=str(exc))
         verdict = verify_all(choreo, thresholds)
         if not verdict.passed:

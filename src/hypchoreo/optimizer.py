@@ -88,6 +88,10 @@ class SolveFailure(RuntimeError):
         self.choreography = choreography
 
 
+class _Unconverged(SolveFailure):
+    """Phase 2 stopped short without failing; only `hypchoreo search` keeps its orbit."""
+
+
 def _check_controls(max_iterations: int, gradient_tolerance: float) -> None:
     """Reject a negative iteration cap and a tolerance that is not positive (NaN too)."""
     if not gradient_tolerance > 0.0:
@@ -507,8 +511,8 @@ def solve(
 
     Phase 1 works at the configuration's bandwidth K; Phase 2 pads to
     options2.K2 (default 2 K).  Raises SolveFailure, with the partial
-    result attached, when a phase reports failure or Phase 2 did not
-    converge: a Newton run that stops short is not a solution.
+    result attached, when Phase 1 fails or Phase 2 gives no converged
+    orbit (`_solve_phase2`).
     """
     if options2 is not None and options2.K2 is not None and options2.K2 < config.K:
         raise ValueError("padded bandwidth K2 must be at least the Phase 1 bandwidth")
@@ -516,16 +520,13 @@ def solve(
         raise ValueError("seed bandwidth exceeds the configuration bandwidth")
 
     result1 = phase1_bfgs(pack_vars(seed.pad(config.K)), config, options1)
-    return _require_converged(_solve_from_phase1(config, result1, options2))
+    return _solve_from_phase1(config, result1, options2)
 
 
 def _solve_from_phase1(config: Configuration, result1: PhaseResult, options2: Phase2Options | None) -> Choreography:
     """The rest of `solve` after a Phase 1 run at config.K: its record, then
     `_solve_phase2`.  Raises SolveFailure, with the partial result
-    attached, when a phase failed.  Unlike `solve` it returns a Phase 2
-    that stopped unconverged without failing, for `hypchoreo search`:
-    perfbench's `search` workload still expects such an orbit (trial 6
-    at --rng 0)."""
+    attached, when Phase 1 failed, and as `_solve_phase2` does."""
     path1 = unpack_vars(result1.x)
     record1 = _phase_record(result1, path1, config)
     if result1.failed:
@@ -543,30 +544,27 @@ def _phase2_config(config: Configuration, options2: Phase2Options | None) -> Con
 def _solve_phase2(
     config: Configuration, start: TrigPath, options2: Phase2Options | None = None, record1: PhaseRecord | None = None
 ) -> Choreography:
-    """Phase 2 of every solve.
+    """Phase 2 of every solve, and the one judge of its Newton run.
 
     Newton runs at K2 (`_phase2_config`: options2.K2, default 2 config.K)
     from `start` cut or padded to K2, and is reported after record1 (None
-    when no Phase 1 ran).  Raises SolveFailure, with the result attached,
-    when Phase 2 failed; whether it converged is left to the caller
-    (`_require_converged`).
+    when no Phase 1 ran).  Returns a converged orbit; otherwise raises
+    SolveFailure with what there is attached: "phase 2 failed: ..." for
+    an infeasible start (record1 alone) or a failed run, `_Unconverged`
+    ("phase 2 did not converge: ...") for one that stopped short.
     """
     opts2 = options2 if options2 is not None else Phase2Options()
     config2 = _phase2_config(config, opts2)
-    result2 = phase2_newton(pack_vars(_fit_bandwidth(start, config2.K)), config2, opts2)
+    start = _fit_bandwidth(start, config2.K)
+    try:
+        result2 = phase2_newton(pack_vars(start), config2, opts2)
+    except InfeasibleSeedError as exc:
+        raise SolveFailure(f"phase 2 failed: {exc}", Choreography(config2, start, SolveReport(phase1=record1))) from None
     path2 = unpack_vars(result2.x)
-    record2 = _phase_record(result2, path2, config2)
-
-    choreo = Choreography(config2, path2, SolveReport(phase1=record1, phase2=record2))
+    choreo = Choreography(config2, path2, SolveReport(phase1=record1, phase2=_phase_record(result2, path2, config2)))
     if result2.failed:
         raise SolveFailure(f"phase 2 failed: {result2.message}", choreo)
-    return choreo
-
-
-def _require_converged(choreo: Choreography) -> Choreography:
-    """choreo, or SolveFailure with it attached when its Phase 2 did not converge."""
-    phase2 = choreo.report.phase2
-    if not phase2.converged:
-        steps = f"relative gradient {phase2.gradient_rel_norm:.2e} after {phase2.iterations} Newton steps"
-        raise SolveFailure(f"phase 2 did not converge: {steps}", choreo)
+    if not result2.converged:
+        steps = f"relative gradient {result2.gradient_rel_norm:.2e} after {result2.iterations} Newton steps"
+        raise _Unconverged(f"phase 2 did not converge: {steps}", choreo)
     return choreo

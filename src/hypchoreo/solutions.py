@@ -4,7 +4,7 @@ A solution file is JSON with four top-level keys:
 
     format_version   integer, currently 1
     config           {"n": int, "R": float or "planar", "omega": float, "K": int}
-    coeffs           list of [re, im] pairs ordered k = -K..K
+    coeffs           list of [re, im] pairs of finite numbers ordered k = -K..K
     diagnostics      {"phase1": record or null, "phase2": record or null} or null
 
 Floats rely on the shortest-round-trip text form, so coefficients written
@@ -89,6 +89,13 @@ def _record_from_dict(data) -> PhaseRecord:
         raise MalformedSolutionError(f"bad phase record: {exc}") from None
 
 
+def _finite_number(value) -> float:
+    """value as a float; json.loads also gives NaN, Infinity, strings and bools."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{value!r} is not a finite number")
+    return float(value)
+
+
 def solution_from_dict(data) -> Choreography:
     """Rebuild a Choreography from the dictionary form, validating shape."""
     if not isinstance(data, dict):
@@ -117,8 +124,8 @@ def solution_from_dict(data) -> Choreography:
     if not isinstance(raw_coeffs, list) or len(raw_coeffs) != 2 * config.K + 1:
         raise MalformedSolutionError("coeffs must list 2K+1 [re, im] pairs")
     try:
-        coeffs = [complex(float(re), float(im)) for re, im in raw_coeffs]
-    except (TypeError, ValueError) as exc:
+        coeffs = [complex(_finite_number(re), _finite_number(im)) for re, im in raw_coeffs]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedSolutionError(f"bad coefficient entry: {exc}") from None
 
     diagnostics = data.get("diagnostics")

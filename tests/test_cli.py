@@ -17,6 +17,7 @@ from hypchoreo.optimizer import Choreography, InfeasibleSeedError, Phase1Options
 from hypchoreo.solutions import load_solution, save_solution
 from hypchoreo.trigpath import TrigPath, pack_vars
 from hypchoreo.verify import SolveReport
+from test_perfbench import load as load_perfbench
 
 
 def write_seed(path, coeffs, config):
@@ -27,6 +28,11 @@ def diverging(x0, config, options=None):
     """A Phase 2 that fails at its start."""
     x = np.array(x0, dtype=float)
     return PhaseResult(x, action_value(x, config), 1.0, 2, False, failed=True, message="diverged")
+
+
+def infeasible_start(x0, config, options=None):
+    """A Phase 2 whose start is infeasible."""
+    raise InfeasibleSeedError("starting point is infeasible")
 
 
 def stalling(x0, config, options=None):
@@ -125,6 +131,19 @@ class TestSolve:
         code = main(["solve", "--n", "2", "--R", "1.5", "--K", "4", "--seed", str(bad)])
         assert code == 4
 
+    def test_nan_coefficient_seed_file_exit_4(self, tmp_path, capsys):
+        # json.loads reads the NaN, but the file is malformed, not an infeasible seed.
+        bad = tmp_path / "nan.json"
+        c = np.zeros(9, dtype=complex)
+        c[5] = 0.3
+        write_seed(bad, c, Configuration(n=2, R=20.0, K=4))
+        doc = json.loads(bad.read_text())
+        doc["coeffs"][6][0] = math.nan
+        bad.write_text(json.dumps(doc))
+        code = main(["solve", "--n", "2", "--R", "20", "--K", "4", "--seed", str(bad)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("file error: bad coefficient entry: nan ")
+
     def test_unwritable_output_exit_4(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
         code = main(
@@ -150,6 +169,24 @@ class TestSolve:
         assert code == 2
         assert "Phase 1" in out and "Phase 2" in out
         assert err == "FAILED: phase 2 failed: diverged\n"
+        assert not out_file.exists()
+
+    def test_infeasible_newton_start_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Phase 1 accepted the seed, so an infeasible Newton start is
+        # non-convergence, not an infeasible seed: the Phase-1 report, the
+        # verdict, exit 2 and no file.
+        monkeypatch.setattr(optimizer, "phase2_newton", infeasible_start)
+        out_file = tmp_path / "x.json"
+        code = main(
+            [
+                "solve", "--n", "2", "--R", "20", "--K", "4",
+                "--seed", "1", "--modes", "2", "--out", str(out_file),
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert "Phase 1" in out and "Phase 2" not in out and "Action" in out
+        assert err == "FAILED: phase 2 failed: starting point is infeasible\n"
         assert not out_file.exists()
 
     def test_unconverged_phase2_exit_2(self, tmp_path, capsys, monkeypatch):
@@ -461,6 +498,35 @@ class TestSearch:
         assert all(why.startswith(expected) for _, why in dropped)
         # Phase 2 takes the trials in the order of their Phase-1 values.
         assert sorted(trial for trial, _ in dropped) == ["trial   0", "trial   1", "trial   2"]
+
+    def test_unconverged_trials_kept_and_named(self, tmp_path, capsys, monkeypatch):
+        # search alone keeps a Newton run that stopped short (the benchmark
+        # pins one, trial 6 at --rng 0), and names each one it writes on
+        # stderr.  The benchmark's check must read such a file as a failure
+        # the program reported, not as a wrong output.
+        monkeypatch.setattr(cli, "phase1_bfgs", at_seed)
+        monkeypatch.setattr(optimizer, "phase2_newton", stalling)
+        out_dir = tmp_path / "found"
+        code = main(
+            ["search", "--n", "2", "--R", "1.5", "--K", "4", "--K2", "8",
+             "--trials", "3", "--modes", "2", "--rng", "0", "--out-dir", str(out_dir)]
+        )
+        out, err = capsys.readouterr()
+        assert code == 0
+        files = sorted(out_dir.iterdir())
+        assert len(files) == 3 == len(out.splitlines())
+        for path in files:
+            assert json.loads(path.read_text())["diagnostics"]["phase2"]["converged"] is False
+        kept = [line for line in err.splitlines() if "  kept unconverged: " in line]
+        verdict = "phase 2 did not converge: relative gradient 1.00e-03 after 10 Newton steps"
+        assert sorted(line.split("  kept unconverged: ")[0] for line in kept) == ["trial   0", "trial   1", "trial   2"]
+        assert all(line.endswith(verdict) for line in kept)
+
+        workloads = load_perfbench("workloads", monkeypatch)
+        outcome = workloads.Outcome()
+        assert not workloads.check_orbit(outcome, files[0].name, load_solution(files[0]), None, workloads.RESIDUAL_BOUND["five_body"])
+        assert outcome.failure.startswith(f"{files[0].name}: its report says phase 2 did not converge")
+        assert outcome.errors == []
 
     def test_pooled_phase1_matches_in_process(self):
         # Phase 1 in a worker process gives the in-process result bit for bit.

@@ -8,8 +8,10 @@ from scipy.optimize import minimize_scalar
 
 from hypchoreo import optimizer
 from hypchoreo.action import Configuration, action_value, evaluate
+from hypchoreo.continuation import continue_in_R, solve_planar
 from hypchoreo.optimizer import (
     _EIGENVALUE_FLOOR,
+    Choreography,
     InfeasibleSeedError,
     Phase1Options,
     Phase2Options,
@@ -24,6 +26,8 @@ from hypchoreo.optimizer import (
 )
 from hypchoreo.solutions import load_bundled
 from hypchoreo.trigpath import TrigPath, nodes, pack_vars
+from hypchoreo.verify import SolveReport
+from test_cli import diverging, infeasible_start, stalling
 
 
 def circle_action(r, config):
@@ -453,6 +457,74 @@ class TestSolvePlumbing:
         assert report.phase2 is None
         assert report.phase1.iterations == 3 and report.phase1.converged is False
         assert np.array_equal(exc.value.choreography.path.coeffs, c)
+
+
+# The three ends of a Newton run that give no orbit, and their verdicts.
+PHASE2_ENDS = {
+    "infeasible": (infeasible_start, "phase 2 failed: starting point is infeasible"),
+    "diverging": (diverging, "phase 2 failed: diverged"),
+    "stalling": (stalling, "phase 2 did not converge: relative gradient 1.00e-03 after 10 Newton steps"),
+}
+
+
+def flat_circle(K=4):
+    """A circle start for the flat two-body problem at bandwidth K."""
+    c = np.zeros(2 * K + 1, dtype=complex)
+    c[K + 1] = 0.6
+    return TrigPath(c)
+
+
+class TestPhase2Verdicts:
+    """One judge for every Newton run: whichever solve makes the run, an
+    infeasible start, a failed run and one that stops short each give
+    SolveFailure with the same verdict."""
+
+    @pytest.fixture(params=list(PHASE2_ENDS))
+    def end(self, request, monkeypatch):
+        newton, verdict = PHASE2_ENDS[request.param]
+        monkeypatch.setattr(optimizer, "phase2_newton", newton)
+        return request.param, verdict
+
+    def test_solve(self, end):
+        # The Phase-1 record rides along; an infeasible start has no
+        # Phase-2 record.
+        name, verdict = end
+        config = Configuration(n=2, R=20.0, K=4)
+        with pytest.raises(SolveFailure) as info:
+            solve(config, random_seed(config, modes=2, rng_seed=1))
+        assert str(info.value) == verdict
+        choreo = info.value.choreography
+        assert choreo.report.phase1 is not None and choreo.report.phase1.converged
+        assert (choreo.report.phase2 is None) == (name == "infeasible")
+        assert choreo.config.K == choreo.path.K == 8
+
+    def test_solve_planar(self, end):
+        name, verdict = end
+        with pytest.raises(SolveFailure) as info:
+            solve_planar(Configuration(n=2, R=math.inf, K=4), flat_circle())
+        assert str(info.value) == verdict
+        choreo = info.value.choreography
+        assert choreo.report.phase1 is None
+        assert (choreo.report.phase2 is None) == (name == "infeasible")
+        assert choreo.config.K == choreo.path.K == 8
+
+    def test_continue_in_R(self, end):
+        # The first member fails: the sweep stops there with the verdict.
+        _, verdict = end
+        flat = Choreography(Configuration(n=2, R=math.inf, K=4), flat_circle(), SolveReport())
+        out = continue_in_R(Configuration(n=2, R=50.0, K=4), [50.0, 20.0], flat)
+        assert out.failed_at == 50.0 and out.members == []
+        assert out.reason == verdict and out.reason.startswith("phase 2 ")
+
+    def test_colliding_flat_start(self):
+        # A start whose bodies coincide, unpatched: phase2_newton's
+        # InfeasibleSeedError comes out as the Phase-2 verdict.
+        start = TrigPath(np.array([0, 0, 0, 0, 0.3, 0, 0, 0, 0], dtype=complex))
+        with pytest.raises(SolveFailure, match="^phase 2 failed: starting point is infeasible$"):
+            solve_planar(Configuration(n=2, R=math.inf, K=4), start)
+        flat = Choreography(Configuration(n=2, R=math.inf, K=4), start, SolveReport())
+        out = continue_in_R(Configuration(n=2, R=50.0, K=4), [50.0], flat)
+        assert out.failed_at == 50.0 and out.reason == "phase 2 failed: starting point is infeasible"
 
 
 def saddle_free_step(H, g):

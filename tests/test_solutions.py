@@ -128,6 +128,11 @@ class TestMalformed:
             lambda d: d["config"].update(n=3.9),
             lambda d: d["config"].update(K=3.7),
             lambda d: d.update(config={**d["config"], "K": True}, coeffs=d["coeffs"][2:5]),
+            # json.loads reads NaN and Infinity, and float() would take "1.5" and true.
+            lambda d: d["coeffs"].__setitem__(3, [math.nan, 0.0]),
+            lambda d: d["coeffs"].__setitem__(3, [0.1, -math.inf]),
+            lambda d: d["coeffs"].__setitem__(3, ["1.5", 0.0]),
+            lambda d: d["coeffs"].__setitem__(3, [True, 0.0]),
         ],
     )
     def test_rejected(self, mutate):
