@@ -50,12 +50,15 @@ Only the symmetric part of the holomorphic block and the Hermitian part
 of the mixed block count, so each is gathered as a half whose mirror
 completes it, and a term already symmetric at half weight.
 Each stage stacks its rows into one inverse FFT along the last axis: the
-node values of p, its velocity and the n-1 shifted copies; the kinetic
-and pair rows of the gradient pull-back; the Hankel and Toeplitz sources
-of the Hessian.  An evaluation thus makes one FFT call per stage for any
-n, and every row keeps the digits it would get alone.  evaluate keeps
-the node state and value of the latest point, so a gradient or Hessian
-asked for right after the value at the same point skips the first stage.
+node values of p, its n-1 shifted copies and its velocity, from p times
+a cached multiplier table (1, shift phases, i(k + omega)); the integrand's
+derivatives in those rows, pulled back through the same table; the
+Hankel and Toeplitz sources of the Hessian.  An evaluation thus makes one
+FFT call per stage for any n, and every row keeps the digits it would
+get alone.  The value reads F, the gradient F', the Hessian F''.
+evaluate keeps the node state and value of the latest point, so a
+gradient or Hessian asked for right after the value at the same point
+skips the first stage.
 
 The gradient formula is written once and runs on the same FFT transform
 in one of two precisions, each built once per (K, precise) and cached:
@@ -186,10 +189,10 @@ class _Spectral:
     transform: f_r = sum_m d_m exp(+i r t_m), r = 0..M-1, the unscaled
         inverse FFT (norm="forward"), so no 1/M is applied and undone
     adjoint:   (E^T g)_k      = sum_m g_m exp(+i k t_m)
-    shift_phases: exp(2 pi i j k / n), row j-1 for j = 1..n-1, the factors
-        that turn the coefficients of q(t) into those of q(t + 2 pi j / n),
-        read off the n-th roots of unity at (j k) mod n; computed once per
-        n and read-only
+    multipliers: rows exp(2 pi i j k / n), j = 0..n-1, that turn the
+        coefficients of q(t) into those of q(t + 2 pi j / n), read off the
+        n-th roots of unity at (j k) mod n, and i (k + omega) for the
+        rotating velocity; computed once per (n, omega) and read-only
     fold:      the Hessian's tables for n bodies, built once per n on first
         use (by a Hessian; needs M > 4K):
         hank, toep: gather tables (k mod n) M + (k +- l) mod M, so that
@@ -206,16 +209,17 @@ class _Spectral:
     def __init__(self, K: int, M: int, real):
         self.M = M
         self.real = real
+        self.complex = np.result_type(real, 1j)
         self.pi = np.pi if real is np.float64 else _PI_EXTENDED
         k = np.arange(-K, K + 1)
-        # k in the transform's dtype, so that dw * c keeps its precision.
+        # k in the transform's dtype, so that i (k + omega) c keeps its precision.
         self.k = k.astype(real)
         self._kmod = k % M
-        self._phases: dict[int, np.ndarray] = {}
+        self._multipliers: dict[tuple[int, float], np.ndarray] = {}
         self._folds: dict[int, tuple[np.ndarray, ...]] = {}
 
     def values(self, c: np.ndarray) -> np.ndarray:
-        spectrum = np.zeros(c.shape[:-1] + (self.M,), dtype=np.result_type(self.real, 1j))
+        spectrum = np.zeros(c.shape[:-1] + (self.M,), dtype=self.complex)
         spectrum[..., self._kmod] = c
         return self.transform(spectrum)
 
@@ -223,7 +227,7 @@ class _Spectral:
         return np.fft.ifft(d, axis=-1, norm="forward")
 
     def adjoint(self, d: np.ndarray) -> np.ndarray:
-        return self.transform(d)[..., self._kmod]
+        return self.transform(d).take(self._kmod, axis=-1)
 
     def _roots(self, n: int) -> np.ndarray:
         """The n-th roots of unity exp(2 pi i m / n), m = 0..n-1, in the
@@ -231,12 +235,13 @@ class _Spectral:
         phase drawn from them is exact to rounding."""
         return np.exp(2j * self.pi * np.arange(n, dtype=self.real) / n)
 
-    def shift_phases(self, n: int) -> np.ndarray:
-        if n not in self._phases:
-            phases = self._roots(n)[np.arange(1, n)[:, None] * self.k.astype(int) % n]
-            phases.flags.writeable = False
-            self._phases[n] = phases
-        return self._phases[n]
+    def multipliers(self, n: int, omega: float) -> np.ndarray:
+        if (n, omega) not in self._multipliers:
+            shifts = self._roots(n)[np.arange(n)[:, None] * self.k.astype(int) % n]
+            table = np.vstack((shifts, 1j * (self.k + omega)))
+            table.flags.writeable = False
+            self._multipliers[n, omega] = table
+        return self._multipliers[n, omega]
 
     def fold(self, n: int) -> tuple[np.ndarray, ...]:
         """(hank, toep, phases, dft, r) for n bodies; see the class docstring."""
@@ -279,15 +284,39 @@ def _coefficients(x, config: Configuration) -> np.ndarray:
     return config.sigma * (x[:half] + 1j * x[half:])
 
 
+class _PairKernel:
+    """Pair integrand F and its derivatives as functions of the squared
+    separation P, at curvature eps:
+
+        F = (1 + eps P/2) G^(-1/2),  F' = -G^(-3/2) / 2,
+        F'' = (3/4) (1 + eps P/2) G^(-5/2) = (3/4) F / G^2,
+
+    with G = P (1 + eps P/4); at eps = 0 the Newtonian P^(-1/2), -P^(-3/2)/2
+    and (3/4) P^(-5/2).  G, 1/sqrt(G) and 1 + eps P/2 are computed once, and
+    F, F' and F'' from them on first use: one square root instead of
+    fractional powers (powl in long double), each within a few roundings.
+    """
+
+    def __init__(self, P: np.ndarray, eps):
+        self.b = 1.0 + 0.5 * eps * P
+        self.G = P * (1.0 + 0.25 * eps * P)
+        self.inv_root = 1.0 / np.sqrt(self.G)
+
+    F = functools.cached_property(lambda self: self.b * self.inv_root)
+    dF = functools.cached_property(lambda self: -0.5 * self.inv_root / self.G)
+    d2F = functools.cached_property(lambda self: 0.75 * self.F / (self.G * self.G))
+
+
 class _NodeState:
     """Node values of p, its shifted copies, and the rotating velocity
     u = p' + i w p, in the dtype of the transform (long double when
     precise), on the quadrature grid or on M nodes.
 
-    p, its n-1 shifted copies and u come from one stacked transform.  z
-    holds p (row 0) and the copies pj (rows 1..n-1); pj and everything
-    derived per pair (seps_sq, kernels) are (n-1, M) arrays with one row
-    per shift j = 1..n-1.
+    p, its n-1 shifted copies and u are the transform of p times the
+    multiplier table.  z holds p (row 0) and the copies pj (rows 1..n-1);
+    pj and everything derived per pair (dp = p - pj, seps_sq, kernel) are
+    (n-1, M) arrays with one row per shift j = 1..n-1.  Squared moduli,
+    zz of z and uu of u, are taken as re^2 + im^2.
     """
 
     def __init__(self, p: np.ndarray, config: Configuration, precise: bool = False, M: int | None = None):
@@ -296,39 +325,36 @@ class _NodeState:
         self.sp = sp = _transform(K, precise) if M is None else _transform(K, precise, M)
         self.config = config
         self.eps = (1 / sp.real(config.R)) ** 2
-        self.dw = 1j * (sp.k + config.omega)
-        self.sigmas = sp.shift_phases(config.n)
-        rows = np.empty((config.n + 1, p.size), dtype=self.sigmas.dtype)
-        rows[0] = p
-        np.multiply(self.sigmas, p, out=rows[1:-1])
-        np.multiply(self.dw, p, out=rows[-1])
-        nodes = sp.values(rows)
+        self.multipliers = sp.multipliers(config.n, config.omega)
+        nodes = sp.values(self.multipliers * p)
+        squares = (nodes * nodes.conj()).real
         self.z, self.u = nodes[:-1], nodes[-1]
         self.p, self.pj = self.z[0], self.z[1:]
-        self.uu = self.u.real ** 2 + self.u.imag ** 2
+        self.zz, self.uu = squares[:-1], squares[-1]
         # Scale a = 1 - eps |z|^2 / 4 of every row of z (1 on the plane),
         # conformal factor 1/a^2 at p, and the squared pair separations
         # |p - pj|^2 / (a0 aj): chordal on the disk, Euclidean on the plane.
-        self.a = 1.0 - 0.25 * self.eps * np.abs(self.z) ** 2
+        self.a = 1.0 - 0.25 * self.eps * self.zz
         self.lam = 1.0 / (self.a[0] * self.a[0])
-        self.seps_sq = np.abs(self.p - self.pj) ** 2 / (self.a[0] * self.a[1:])
+        self.dp = self.p - self.pj
+        self.seps_sq = (self.dp * self.dp.conj()).real / (self.a[0] * self.a[1:])
         # Trapezoid weight of every integral.
         self.w = 0.5 * config.n * (2.0 * sp.pi / sp.M)
 
     @functools.cached_property
-    def kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(F, F', F'') of every pair; only defined once no pair has collided."""
-        return _pair_kernel(self.seps_sq, self.eps)
+    def kernel(self) -> _PairKernel:
+        """The pair kernel at seps_sq; only defined once no pair has collided."""
+        return _PairKernel(self.seps_sq, self.eps)
 
     def check(self) -> None:
-        """Raise OutOfDiskError when some node of p comes within
-        BOUNDARY_MARGIN (relatively) of the disk's boundary |p| = 2R, which
-        never happens on the plane (eps = 0), and CollisionError when some
-        pair's squared separation reaches COLLISION_THRESHOLD^2, tested row
-        by row so that a NaN row cannot mask a collided one."""
-        if np.max(np.abs(self.p)) * np.sqrt(self.eps) / 2 >= 1.0 - geometry.BOUNDARY_MARGIN:
+        """Raise OutOfDiskError when eps |p|^2 / 4 >= (1 - BOUNDARY_MARGIN)^2
+        at some node, i.e. p comes within BOUNDARY_MARGIN (relatively) of the
+        disk's boundary |p| = 2R, never on the plane (eps = 0); and
+        CollisionError when a squared pair separation at some node reaches
+        COLLISION_THRESHOLD^2 (node by node, so a NaN cannot mask it)."""
+        if self.zz[0].max() * (0.25 * self.eps) >= (1.0 - geometry.BOUNDARY_MARGIN) ** 2:
             raise geometry.OutOfDiskError("trajectory leaves the disk")
-        if np.any(np.min(self.seps_sq, axis=-1) <= COLLISION_THRESHOLD ** 2):
+        if (self.seps_sq <= COLLISION_THRESHOLD ** 2).any():
             raise CollisionError("pair separation at the collision threshold")
 
     def value(self) -> float | None:
@@ -337,87 +363,57 @@ class _NodeState:
             self.check()
         except (geometry.OutOfDiskError, CollisionError):
             return None
-        value = self.w * float(np.sum(self.lam * self.uu))
-        for pair_sum in np.sum(self.kernels[0], axis=-1):
-            value += self.w * float(pair_sum)
-        return value
+        return self.w * (float(self.lam @ self.uu) + float(self.kernel.F.sum()))
 
 
 @functools.lru_cache(maxsize=1)
 def _state_and_value(data: bytes, config: Configuration) -> tuple[_NodeState, float | None]:
-    """Float64 node state and action (None if infeasible) at the
-    coefficients of p with these bytes.
+    """Float64 node state and action (None if infeasible) at the packed
+    coefficients of q with these bytes.
 
     Keeping the latest one lets a gradient or Hessian request right after
     a value request at the same point (BFGS's fun then grad, Newton's
     value then precise gradient) reuse the node values.
     """
-    state = _NodeState(np.frombuffer(data, dtype=complex), config)
+    state = _NodeState(_coefficients(np.frombuffer(data), config), config)
     return state, state.value()
 
 
-def _pair_kernel(P: np.ndarray, eps):
-    """Pair integrand F and its derivatives as functions of the squared
-    separation P, at curvature eps:
-
-        F = (1 + eps P/2) G^(-1/2),  F' = -G^(-3/2) / 2,
-        F'' = (3/4) (1 + eps P/2) G^(-5/2),  with G = P (1 + eps P/4);
-
-    at eps = 0 these are the Newtonian P^(-1/2), -P^(-3/2)/2, (3/4) P^(-5/2).
-    The powers are products of 1/sqrt(G) and 1/G, one square root and two
-    divisions instead of three fractional powers (powl in long double),
-    each within a few roundings of the power.
-    """
-    b = 1.0 + 0.5 * eps * P
-    G = P * (1.0 + 0.25 * eps * P)
-    inv_root = 1.0 / np.sqrt(G)
-    inv_G = 1.0 / G
-    G_15 = inv_root * inv_G  # G^(-3/2)
-    return b * inv_root, -0.5 * G_15, 0.75 * b * G_15 * inv_G
-
-
 def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
-    """Gradient in the packed coefficients of p, pulled back through the
-    state's transform, and the first-order terms the Hessian reuses:
-    kappa = d log(1/a) / dz = eps conj(z) / (4a) by row of z, and per pair
-    p - p_j, a0, a1, P a0 and P a1, each an (n-1, M) array.
+    """Gradient in the packed coefficients of q, and the first-order terms
+    the Hessian reuses: kappa = d log(1/a) / dz = eps conj(z) / (4a) by row
+    of z, and per pair a0 and a1 = d log P / dp and / dp_j, each (n-1, M).
 
-    The two kinetic rows and the two rows of every pair are written into
-    one stack and go through one adjoint; the pair pull-backs, the second
-    framed by the shift phases, are summed over the pairs in one reduction
-    and then added to the kinetic ones.
+    One stack holds the integrand's derivatives in each row of the node
+    state (p, each p_j, u), with w F' P formed once and the exact factor
+    2 sigma folded into w; one adjoint, the multiplier table and a sum over
+    the rows pull it back.
     """
-    sp, w, lam, P, n = state.sp, state.w, state.lam, state.seps_sq, state.config.n
-    kappa = 0.25 * state.eps * np.conj(state.z) / state.a
-    wFp = w * state.kernels[1]
+    sp, n = state.sp, state.config.n
+    w = 2.0 * state.config.sigma * state.w
+    kappa = state.z.conj() * (0.25 * state.eps / state.a)
+    wFpP = w * state.kernel.dF * state.seps_sq
 
     # Pair terms: P is a function of z0 = p(t) and z1 = p_j(t);
     # alpha_a = d log P / d z_a.
-    dp = state.p - state.pj
-    inv_dp = 1.0 / dp
+    inv_dp = 1.0 / state.dp
     a0 = inv_dp + kappa[0]
     a1 = kappa[1:] - inv_dp
-    Pa = P * a0
-    Pb = P * a1
 
-    # Rows: the Wirtinger derivatives of the kinetic integrand lam(p) |u|^2,
-    # with d lam / dp = 2 lam kappa, then those of the pairs.
-    rows = np.empty((2 * n, sp.M), dtype=kappa.dtype)
-    np.multiply(w, lam * np.conj(state.u), out=rows[0])
-    np.multiply(w, 2.0 * lam * kappa[0] * state.uu, out=rows[1])
-    np.multiply(wFp, Pa, out=rows[2:n + 1])
-    np.multiply(wFp, Pb, out=rows[n + 1:])
+    # Wirtinger derivatives of the kinetic integrand, with d lam / dp =
+    # 2 lam kappa, and of the pairs.
+    wlam = w * state.lam
+    rows = np.empty((n + 1, sp.M), dtype=kappa.dtype)
+    np.multiply(2.0 * wlam * state.uu, kappa[0], out=rows[0])
+    rows[0] += (wFpP * a0).sum(axis=0)
+    np.multiply(wFpP, a1, out=rows[1:-1])
+    np.multiply(wlam, state.u.conj(), out=rows[-1])
 
-    pulled = sp.adjoint(rows)
-    pairs = pulled[n + 1:]
-    pairs *= state.sigmas
-    pairs += pulled[2:n + 1]
-    v = pulled[0] * state.dw + pulled[1] + np.sum(pairs, axis=0)
-    gradient = np.concatenate([2.0 * v.real, -2.0 * v.imag]).astype(float, copy=False)
-    return gradient, (kappa, dp, a0, a1, Pa, Pb)
+    v = (sp.adjoint(rows) * state.multipliers).sum(axis=0)
+    return np.concatenate([v.real, -v.imag]).astype(float, copy=False), (kappa, a0, a1)
 
 
-def _second_order(state: _NodeState, kappa, dp, a0, a1, Pa, Pb) -> tuple[tuple, tuple]:
+def _second_order(state: _NodeState, kappa, a0, a1) -> tuple[tuple, tuple]:
     """Node values of the second Wirtinger derivatives, unweighted, from the
     first-order terms of _first_order.
 
@@ -427,8 +423,9 @@ def _second_order(state: _NodeState, kappa, dp, a0, a1, Pa, Pb) -> tuple[tuple, 
     (A) and d^2 F / dz_a dzbar_b (B) with z_0 = p and z_1 = p_j.
     """
     h = 0.25 * state.eps / (state.a * state.a)  # d kappa / dzbar, by row of z
-    P, (_, Fp, Fpp) = state.seps_sq, state.kernels
-    lam, uu = state.lam, state.uu
+    P, Fp, Fpp = state.seps_sq, state.kernel.dF, state.kernel.d2F
+    lam, uu, dp = state.lam, state.uu, state.dp
+    Pa, Pb = P * a0, P * a1
 
     # Kinetic second derivatives of lam |u|^2 in p and u, from d lam / dp =
     # m = 2 lam kappa, d kappa / dp = kappa^2 and d kappa / dpbar = h.
@@ -458,12 +455,12 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     on long-double FFTs instead (slower, with a rounding floor far below
     the double-precision gradient's).  Each transform is built once per
     (K, precise) and cached, and the node state and value of the latest
-    point are kept, keyed by its coefficient bytes and configuration, so
-    a second call at the same point starts from them.
+    point are kept, keyed by the bytes of x and the configuration, so a
+    second call at the same point starts from them.
     """
-    p = _coefficients(x, config)
-    state, value = _state_and_value(p.tobytes(), config)
-    nc = p.size
+    x = np.asarray(x, dtype=float)
+    state, value = _state_and_value(x.tobytes(), config)
+    nc = config.n_coefficients
     sigma = config.sigma
 
     if value is None:
@@ -473,15 +470,11 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
 
     if order < 1:
         return ActionEvaluation(value)
-    if precise:
-        gradient = sigma * _first_order(_NodeState(p, config, precise=True))[0]
-        if order < 2:
-            return ActionEvaluation(value, gradient)
-    fast_gradient, first = _first_order(state)
-    if not precise:
-        gradient = sigma * fast_gradient
+    gradient, first = _first_order(_NodeState(_coefficients(x, config), config, precise=True) if precise else state)
     if order < 2:
         return ActionEvaluation(value, gradient)
+    if precise:
+        first = _first_order(state)[1]
 
     # Holomorphic-holomorphic block T and Hermitian block Wm; the real
     # Hessian of sum f(y, ybar) with y = E c is assembled from
@@ -489,7 +482,7 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     # Only the symmetric part of T and the Hermitian part of Wm count, so
     # they are gathered as halves, 2 sigma^2 T = Th + Th' and 2 sigma^2 Wm =
     # Wh + Wh^H; the power of two 2 sigma^2 goes, exactly, into the weights.
-    sp, dw = state.sp, state.dw
+    sp, dw = state.sp, state.multipliers[-1]
     hank, toep, phases, dft, r = sp.fold(config.n)
     (lam, f1, f2, f3, f4), (A00, A01, A11, B00, B01, B11) = _second_order(state, *first)
     w = sigma * sigma * state.w

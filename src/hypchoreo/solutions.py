@@ -3,9 +3,12 @@
 A solution file is JSON with four top-level keys:
 
     format_version   integer, currently 1
-    config           {"n": int, "R": float or "planar", "omega": float, "K": int}
+    config           {"n": int, "R": finite number or "planar", "omega": finite number, "K": int}
     coeffs           list of [re, im] pairs of finite numbers ordered k = -K..K
     diagnostics      {"phase1": record or null, "phase2": record or null} or null
+
+A number is a JSON number, not a string or a bool; a record's fields have
+PhaseRecord's types.
 
 Floats rely on the shortest-round-trip text form, so coefficients written
 and read back compare bitwise equal.  R = infinity is spelled "planar" in
@@ -45,8 +48,8 @@ __all__ = [
 
 FORMAT_VERSION = 1
 
-# PhaseRecord's field names, each mapped to whether a file must give it.
-_RECORD_FIELDS = {f.name: f.default is MISSING for f in fields(PhaseRecord)}
+# PhaseRecord's field names, each mapped to its type name and to whether a file must give it.
+_RECORD_FIELDS = {f.name: (f.type, f.default is MISSING) for f in fields(PhaseRecord)}
 
 
 class MalformedSolutionError(ValueError):
@@ -80,19 +83,22 @@ def _record_from_dict(data) -> PhaseRecord:
     if not isinstance(data, dict):
         raise MalformedSolutionError("phase record must be an object")
     try:
-        kwargs = {name: data[name] for name in _RECORD_FIELDS if name in data}
-        missing = [name for name, required in _RECORD_FIELDS.items() if required and name not in kwargs]
-        if missing:
-            raise MalformedSolutionError(f"phase record misses fields: {missing}")
-        return PhaseRecord(**kwargs)
-    except TypeError as exc:
+        # A float field takes a finite number; an int or bool field a value of exactly that type.
+        kwargs = {name: _finite_number(data[name], name) if kind == "float" else data[name]
+                  for name, (kind, _) in _RECORD_FIELDS.items() if name in data}
+    except (ValueError, OverflowError) as exc:
         raise MalformedSolutionError(f"bad phase record: {exc}") from None
+    missing = [name for name, (_, required) in _RECORD_FIELDS.items() if required and name not in kwargs]
+    wrong = [name for name, value in kwargs.items() if type(value).__name__ != _RECORD_FIELDS[name][0]]
+    if missing or wrong:
+        raise MalformedSolutionError(f"phase record: missing fields {missing}, mistyped fields {wrong}")
+    return PhaseRecord(**kwargs)
 
 
-def _finite_number(value) -> float:
-    """value as a float; json.loads also gives NaN, Infinity, strings and bools."""
+def _finite_number(value, name: str = "") -> float:
+    """value as a float, else ValueError naming it; json.loads also gives NaN, Infinity, strings and bools."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{value!r} is not a finite number")
+        raise ValueError(f"{name} {value!r} is not a finite number".lstrip())
     return float(value)
 
 
@@ -114,11 +120,11 @@ def solution_from_dict(data) -> Choreography:
         R = raw_config["R"]
         config = Configuration(
             n=raw_config["n"],
-            R=math.inf if R == "planar" else float(R),
+            R=math.inf if R == "planar" else _finite_number(R, "R"),
             K=raw_config["K"],
-            omega=float(raw_config.get("omega", 0.0)),
+            omega=_finite_number(raw_config.get("omega", 0.0), "omega"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedSolutionError(f"bad config: {exc}") from None
 
     if not isinstance(raw_coeffs, list) or len(raw_coeffs) != 2 * config.K + 1:

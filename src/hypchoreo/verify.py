@@ -99,7 +99,7 @@ def path_residual(path: TrigPath, config: Configuration, node_count: int | None 
     acc = sp.values(-(sp.k * sp.k) * pc)
 
     kappa = 0.25 * state.eps * np.conj(p) / a
-    pair = np.sum(state.kernels[1] * P * (1.0 / np.conj(p - state.pj) + np.conj(kappa)), axis=0)
+    pair = np.sum(state.kernel.dF * P * (1.0 / np.conj(state.dp) + np.conj(kappa)), axis=0)
     rhs = -2j * w * vel + w * w * p - 2.0 * kappa * v * v + 2.0 * a ** 2 * pair
 
     scale = float(np.linalg.norm(acc))

@@ -20,10 +20,11 @@ from hypchoreo.action import (
     _coefficients,
     _first_order,
     _NodeState,
-    _pair_kernel,
+    _PairKernel,
     _second_order,
     _transform,
 )
+from hypchoreo.geometry import BOUNDARY_MARGIN, OutOfDiskError
 from hypchoreo.optimizer import random_seed
 from hypchoreo.solutions import bundled_names, load_bundled
 from hypchoreo.trigpath import TrigPath, nodes, pack_vars, rotate_vars, shift_vars
@@ -86,7 +87,7 @@ def pair_by_pair_hessian(x, config):
     state = _NodeState(_coefficients(x, config), config)
     _, first = _first_order(state)
     kinetic, pairs = _second_order(state, *first)
-    sp, w, dw = state.sp, state.w, state.dw
+    sp, w, dw = state.sp, state.w, state.multipliers[-1]
     dwc = np.conj(dw)
     kmod = np.arange(-config.K, config.K + 1) % sp.M
 
@@ -102,7 +103,7 @@ def pair_by_pair_hessian(x, config):
     T = hank(f[1]) + 2.0 * hank(f[2]) * dw[None, :]
     Wm += toep(f[3])
     Wm += 2.0 * toep(f[4]) * dwc[None, :]
-    for f01, f00, f11, g00, g01, g11, sig in zip(*np.split(f[5:], 6), state.sigmas):
+    for f01, f00, f11, g00, g01, g11, sig in zip(*np.split(f[5:], 6), state.multipliers[1:-1]):
         sigc = np.conj(sig)
         T += hank(f00)
         T += 2.0 * hank(f01) * sig[None, :]
@@ -269,7 +270,8 @@ class TestPointwiseKernels:
         b = 1.0 + 0.5 * eps * P
         G = P * (1.0 + 0.25 * eps * P)
         want = (b * G ** real(-0.5), real(-0.5) * G ** real(-1.5), real(0.75) * b * G ** real(-2.5))
-        for got, ref in zip(_pair_kernel(P, eps), want):
+        kernel = _PairKernel(P, eps)
+        for got, ref in zip((kernel.F, kernel.dF, kernel.d2F), want):
             assert got.dtype == real
             assert np.all(np.abs(got - ref) <= 8 * np.finfo(real).eps * np.abs(ref))
 
@@ -487,6 +489,35 @@ class TestInfeasible:
         c = np.array([0.0, 0.0, tiny])
         value = action_value(pack_vars(TrigPath(c)), config)
         assert math.isfinite(value) and value > 1e10
+
+    @pytest.mark.parametrize("precise", [False, True], ids=["float64", "long_double"])
+    def test_collision_threshold_edge(self, precise):
+        # The same two bodies at half the threshold: in p = sigma q they sit
+        # 2 sigma r apart (a = 1 to rounding), so r = THRESHOLD / (4 sigma).
+        config = Configuration(n=2, R=1.5, K=1)
+        c = np.array([0.0, 0.0, 0.5 * COLLISION_THRESHOLD / (2 * config.sigma)])
+        state = _NodeState(config.sigma * c, config, precise=precise)
+        assert np.allclose(np.sqrt(state.seps_sq.astype(float)), 0.5 * COLLISION_THRESHOLD, rtol=1e-12, atol=0)
+        with pytest.raises(CollisionError):
+            state.check()
+        assert math.isinf(action_value(pack_vars(TrigPath(c)), config))
+
+    @pytest.mark.parametrize("precise", [False, True], ids=["float64", "long_double"])
+    def test_disk_margin_edges(self, precise):
+        # An n = 3 circle of radius |q| = f R: feasible inside the relative
+        # margin (f = 1 - 2 BOUNDARY_MARGIN), infeasible within it (f = 1 -
+        # BOUNDARY_MARGIN / 2).
+        config = Configuration(n=3, R=1.5, K=2)
+        for f, feasible in ((1 - 2 * BOUNDARY_MARGIN, True), (1 - BOUNDARY_MARGIN / 2, False)):
+            c = np.zeros(5, dtype=complex)
+            c[3] = f * config.R
+            state = _NodeState(config.sigma * c, config, precise=precise)
+            if feasible:
+                state.check()
+            else:
+                with pytest.raises(OutOfDiskError):
+                    state.check()
+            assert math.isfinite(action_value(pack_vars(TrigPath(c)), config)) == feasible
 
 
 class TestConfigurationValidation:

@@ -338,6 +338,28 @@ class TestRandomSeed:
             random_seed(Configuration(n=200, R=2.0, K=3), modes=1)
 
 
+class TestSearchTrialVerdicts:
+    """Phase 1 of the 20 trials of `hypchoreo search --n 5 --R 1.2 --K 27
+    --trials 20 --rng 0`, in process: which trials stop at the iteration
+    cap, and which orbits the others reach."""
+
+    def test_phase1_verdicts_and_actions(self):
+        config = Configuration(n=5, R=1.2, K=27)
+        capped = {8, 11, 13, 16, 19}
+        actions = {}
+        for trial in range(20):
+            result = optimizer.phase1_bfgs(pack_vars(random_seed(config, modes=5, rng_seed=trial)), config)
+            assert result.converged == (trial not in capped), trial
+            if trial in capped:
+                assert result.iterations == Phase1Options().max_iterations, trial
+            else:
+                actions[trial] = result.value
+        groups = {80.351827: set(actions) - {0, 6}, 90.607350: {0}, 94.607111: {6}}
+        assert len(groups[80.351827]) == 13
+        for action, trials in groups.items():
+            assert {trial for trial, value in actions.items() if abs(value - action) <= 1e-6} == trials, action
+
+
 @pytest.fixture(scope="module")
 def circle_solve():
     config = Configuration(n=3, R=1.8, K=6)

@@ -133,6 +133,22 @@ class TestMalformed:
             lambda d: d["coeffs"].__setitem__(3, [0.1, -math.inf]),
             lambda d: d["coeffs"].__setitem__(3, ["1.5", 0.0]),
             lambda d: d["coeffs"].__setitem__(3, [True, 0.0]),
+            # The same for the config: "R" is "planar" or a finite number,
+            # so Infinity does not spell a flat orbit.
+            lambda d: d["config"].update(R="1.5"),
+            lambda d: d["config"].update(R=True),
+            lambda d: d["config"].update(R=math.inf),
+            lambda d: d["config"].update(omega="0.5"),
+            lambda d: d["config"].update(omega=True),
+            # Phase-record fields take their own types: finite numbers, int
+            # counts, a bool flag ("false" would be truthy).
+            lambda d: d["diagnostics"]["phase1"].update(iterations="many"),
+            lambda d: d["diagnostics"]["phase1"].update(iterations=87.0),
+            lambda d: d["diagnostics"]["phase1"].update(coefficient_count=True),
+            lambda d: d["diagnostics"]["phase2"].update(converged="false"),
+            lambda d: d["diagnostics"]["phase2"].update(converged=1),
+            lambda d: d["diagnostics"]["phase2"].update(action="27.84"),
+            lambda d: d["diagnostics"]["phase2"].update(residual_rel_norm=math.nan),
         ],
     )
     def test_rejected(self, mutate):
