@@ -1,7 +1,9 @@
 """Two-phase minimization of the discretized action.
 
 Phase 1 runs BFGS with the exact gradient on a moderate number of
-coefficients until the relative gradient norm reaches a few digits.
+coefficients until the relative gradient norm reaches a few digits, or
+until it stalls: 100 iterations without a smaller relative gradient,
+over which the value fell by at most 1e-8 relative.
 Phase 2 pads the coefficient vector (typically doubling the bandwidth)
 and runs Newton's method with the exact Hessian, which converges
 quadratically to near machine precision in a handful of steps.
@@ -62,6 +64,12 @@ __all__ = [
 _ARMIJO_C1 = 1e-4
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
+
+# Stall test of Phase 1: the run stops when no iterate in the last
+# _STALL_WINDOW has a smaller relative gradient than the smallest seen,
+# and the value fell by at most _STALL_DECREASE relative over them.
+_STALL_WINDOW = 100
+_STALL_DECREASE = 1e-8
 
 # Absolute part of the Newton step's floor under the gauge null modes: the
 # diagonal shift of the Cholesky step, and the eigenvalue floor of the
@@ -208,11 +216,17 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     in its symmetric rank-2 form H + u s' + s u', added in place as one
     product (_bfgs_update).
 
+    The run stalls when no iterate in the last _STALL_WINDOW has a
+    smaller relative gradient than the smallest seen and the value fell by
+    at most _STALL_DECREASE relative over them; it stops there, as at the
+    iteration limit, with the last iterate.  The value test keeps a run
+    that is still descending, however slowly its gradient falls.
+
     The result's message names the verdict: converged at the tolerance,
-    the iteration limit (with the smallest relative gradient seen and its
-    iteration), the rounding floor of fun, an accepted step too small to
-    move x, or a line search that found no feasible decrease (the only
-    one that sets failed).
+    stalled (with the smallest relative gradient and its iteration), the
+    iteration limit (with the same), the rounding floor of fun, an
+    accepted step too small to move x, or a line search that found no
+    feasible decrease (the only one that sets failed).
     """
     t0 = time.perf_counter()
     opts = options if options is not None else Phase1Options()
@@ -227,6 +241,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     first_update = True
     values = [f]
     gnorms = [_rel_gradient_norm(g, x)]
+    best = 0  # iteration of the smallest relative gradient
 
     iteration = 0
     message = ""
@@ -296,13 +311,22 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
         values.append(f)
         gnorms.append(_rel_gradient_norm(g, x))
         iteration += 1
+        if gnorms[-1] < gnorms[best]:
+            best = iteration
+        elif iteration - best >= _STALL_WINDOW and (
+            values[-1 - _STALL_WINDOW] - f <= _STALL_DECREASE * abs(values[-1 - _STALL_WINDOW])
+        ):
+            message = (
+                f"stalled: smallest relative gradient {gnorms[best]:.2e} at iteration {best},"
+                f" none smaller in {_STALL_WINDOW} iterations"
+            )
+            break
 
     grel = gnorms[-1]
     converged = grel <= opts.gradient_tolerance
     if converged:
         message = f"converged at tolerance {opts.gradient_tolerance:.1e}"
     elif not message:
-        best = int(np.argmin(gnorms))
         message = (
             f"iteration limit {opts.max_iterations} reached at relative gradient {grel:.2e};"
             f" smallest {gnorms[best]:.2e} at iteration {best}"

@@ -206,6 +206,44 @@ class TestMinimizeBfgs:
             f"iteration limit 6 reached at relative gradient {g[6]:.2e}; smallest {g[4]:.2e} at iteration 4"
         )
 
+    def test_stalls_after_its_smallest_gradient(self):
+        # The two-body circle reaches its smallest relative gradient at
+        # iteration 27, above the tolerance, and its value stops falling:
+        # the run stops 100 iterations later and returns its last iterate.
+        config = Configuration(n=2, R=1.5, K=4)
+        out = optimizer.phase1_bfgs(pack_vars(random_seed(config, modes=2, rng_seed=0)), config)
+        g = out.gradient_norms
+        assert not out.converged and not out.failed
+        assert out.iterations == 127 == len(g) - 1
+        assert min(g) == g[27] > Phase1Options().gradient_tolerance
+        assert out.message == (
+            f"stalled: smallest relative gradient {g[27]:.2e} at iteration 27, none smaller in 100 iterations"
+        )
+        assert out.value == out.values[-1] == action_value(out.x, config)
+        assert out.gradient_rel_norm == g[-1]
+
+    @pytest.mark.parametrize("offset, stalls", [(0.0, False), (1e12, True)])
+    def test_stall_needs_the_value_to_stop_falling(self, offset, stalls):
+        # f = offset + x from x = 1000: each step is x -> x - 1, so the
+        # value falls by 1 per iteration while the relative gradient 1/|x|
+        # grows, and the first one stays the smallest.  From iteration 100
+        # on only the value decides: 100 over 100 iterations is a fall of
+        # 0.1 relative without the offset, and of 1e-10 relative with it.
+        out = minimize_bfgs(
+            lambda x: offset + float(x[0]), lambda x: np.ones(1), np.array([1000.0]),
+            Phase1Options(max_iterations=150),
+        )
+        g = out.gradient_norms
+        assert not out.converged and not out.failed
+        assert min(g) == g[0] < g[-1]
+        assert out.values[-1] == offset + 1000.0 - out.iterations
+        if stalls:
+            assert out.iterations == 100
+            assert out.message.startswith("stalled: smallest relative gradient 1.00e-03 at iteration 0,")
+        else:
+            assert out.iterations == 150
+            assert out.message.startswith("iteration limit 150 reached")
+
     @pytest.mark.parametrize("options", [Phase1Options, Phase2Options])
     @pytest.mark.parametrize(
         "bad",
@@ -340,18 +378,22 @@ class TestRandomSeed:
 
 class TestSearchTrialVerdicts:
     """Phase 1 of the 20 trials of `hypchoreo search --n 5 --R 1.2 --K 27
-    --trials 20 --rng 0`, in process: which trials stop at the iteration
-    cap, and which orbits the others reach."""
+    --trials 20 --rng 0`, in process: which trials stall, at which best
+    iterate, and which orbits the others reach.  Trial 6 goes 148
+    iterations without a smaller gradient before it converges, so its
+    verdict and action pin the stall test's value clause."""
 
     def test_phase1_verdicts_and_actions(self):
         config = Configuration(n=5, R=1.2, K=27)
-        capped = {8, 11, 13, 16, 19}
+        stalled = {8: 201, 11: 138, 13: 173, 16: 108, 19: 276}
         actions = {}
         for trial in range(20):
             result = optimizer.phase1_bfgs(pack_vars(random_seed(config, modes=5, rng_seed=trial)), config)
-            assert result.converged == (trial not in capped), trial
-            if trial in capped:
-                assert result.iterations == Phase1Options().max_iterations, trial
+            assert result.converged == (trial not in stalled), trial
+            if trial in stalled:
+                assert not result.failed and result.iterations < Phase1Options().max_iterations, trial
+                assert result.message.startswith("stalled: smallest relative gradient"), trial
+                assert result.message.endswith(f"at iteration {stalled[trial]}, none smaller in 100 iterations"), trial
             else:
                 actions[trial] = result.value
         groups = {80.351827: set(actions) - {0, 6}, 90.607350: {0}, 94.607111: {6}}

@@ -3,7 +3,9 @@
 perfbench/ reaches into the package by name, private helpers included
 (`continuation._fit_bandwidth`), and its tracer swaps module attributes;
 a refactor that drops or moves one of those names breaks the benchmark
-without failing any other test.
+without failing any other test.  Its `search` workload also pins the
+actions that `hypchoreo search` writes, one of them rounding-sensitive;
+a change that moves them fails here before it fails the benchmark.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import hypchoreo
+from hypchoreo.solutions import load_solution
 import hypchoreo.cli  # noqa: F401  (the tracer wraps cli.main)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,3 +39,13 @@ def test_workloads_import_and_tracer_installs(monkeypatch):
     finally:
         tracer.remove()
     assert hypchoreo.optimizer.solve is solve
+
+
+def test_search_writes_the_benchmark_actions(monkeypatch, tmp_path):
+    workloads = load("workloads", monkeypatch)
+    assert hypchoreo.cli.main(workloads.SEARCH_ARGS + ["--out-dir", str(tmp_path)]) == 0
+    actions = sorted(load_solution(path).action for path in tmp_path.glob("search_*.json"))
+    expected = workloads.SEARCH_ACTIONS
+    assert len(actions) == len(expected)
+    for got, want in zip(actions, expected):
+        assert abs(got - want) <= workloads.SEARCH_TOLERANCE * abs(want), (got, want)
