@@ -8,9 +8,14 @@ export (orbit samples or coefficient magnitudes as CSV), and search
 search draws every seed in this process, then runs the trials' Phase 1
 here and in spawned worker processes, one fewer than usable CPUs (so
 `taskset` limits them; one CPU spawns none), and Phase 2 here, in trial
-order.  A trial's iterates are those of an in-process run bit for bit,
-so the output does not depend on where each trial ran; this process
-runs trials while the workers start.  Each worker imports the calling
+order.  Trials are handed out one at a time: this process takes them
+from the back, each worker from the front.  A trial's iterates are
+those of an in-process run bit for bit, so the output does not depend
+on where each trial ran.  The workers are kept for the next search in
+the same process (each holds about 34 MB resident between searches on
+x86_64 Linux), so only the first search waits for them to start; they
+are replaced when the number of usable CPUs changes or a worker dies,
+and joined at interpreter exit.  Each worker imports the calling
 script, so a script that runs search through main must call it under
 `if __name__ == "__main__":`.  sweep corrects the whole doubled disk
 orbit sigma q by Newton alone at --K2 into the flat orbit.  The optimizer
@@ -25,11 +30,14 @@ or unwritable files.
 from __future__ import annotations
 
 import argparse
+import collections
 import math
 import multiprocessing
 import os
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -270,35 +278,97 @@ def _distinct(items: list[tuple]) -> list[tuple]:
     return kept
 
 
+# The Phase-1 worker pool that search keeps for the life of the process,
+# and its number of workers.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool, first replaced by one of `workers` spawned workers
+    when it has another size or there is none."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+            _pool_workers = workers
+        return _pool
+
+
+def _shutdown_pool() -> None:
+    """Shut the kept pool down; the next search spawns a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            _pool.shutdown()
+            _pool = None
+
+
 def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Phase1Options) -> list[PhaseResult]:
     """Phase 1 from each start, in the order of starts; each result
     carries its own wall time (PhaseResult.seconds).
 
     Each run calls this module's phase1_bfgs.  With one usable CPU, or
-    one start, every run is made here.  Otherwise every run is queued to
-    spawned worker processes, one fewer than usable CPUs (fork is unsafe
-    once BLAS threads run).  The workers take runs from the front; this
-    process takes from the back each run no worker has taken yet (its
-    Future.cancel succeeds), so each run is made once.  A run made here
-    that raises stops this process taking runs, and the runs still
-    queued are cancelled; a worker's run that raises does the same when
-    its result is read, in the order of starts.  Either exception is
-    raised here.
+    one start, every run is made here.  Otherwise runs are shared, one
+    at a time, between this process and a pool of spawned workers, one
+    fewer than usable CPUs (fork is unsafe once BLAS threads run).  The
+    pool is kept for later calls, so only the first call in a process
+    waits for workers to start; it is replaced when the number of usable
+    CPUs changes, or after a worker died (that call raises
+    BrokenProcessPool), and joined at interpreter exit.  One feeder
+    thread per worker claims the next run from the front and hands only
+    that run to the pool; this process claims from the back and makes
+    its runs itself.  So no run waits behind a busy or starting worker,
+    and each run is made once.  The first run that raises, here or in a
+    worker, stops all further claims; once the runs under way have
+    returned, the exception of the lowest-numbered failed run is raised.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(starts)) - 1
-    if workers < 1:
+    affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
+    workers = (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
+    if workers < 1 or len(starts) < 2:
         return [phase1_bfgs(x0, config, options) for x0 in starts]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    pool = _kept_pool(workers)
+    todo = collections.deque(range(len(starts)))
+    results, errors = {}, {}
+    lock = threading.Lock()
+
+    def in_worker(x0, config, options):
+        return pool.submit(phase1_bfgs, x0, config, options).result()
+
+    def claim_and_run(take, run):
+        while True:
+            with lock:
+                if not todo:
+                    return
+                index = take()
+            try:
+                results[index] = run(starts[index], config, options)
+            except BaseException as exc:  # raised below, in the calling thread
+                with lock:
+                    errors[index] = exc
+                    todo.clear()
+
+    feeders = [
+        threading.Thread(target=claim_and_run, args=(todo.popleft, in_worker))
+        for _ in range(min(workers, len(starts)))
+    ]
+    for feeder in feeders:
+        feeder.start()
     try:
-        futures = [pool.submit(phase1_bfgs, x0, config, options) for x0 in starts]
-        local = {}
-        for index in reversed(range(len(starts))):
-            if not futures[index].cancel():
-                break
-            local[index] = phase1_bfgs(starts[index], config, options)
-        return [local[index] if index in local else future.result() for index, future in enumerate(futures)]
+        claim_and_run(todo.pop, phase1_bfgs)
     finally:
-        pool.shutdown(cancel_futures=True)
+        with lock:
+            todo.clear()  # so that an interrupt here stops the feeders too
+        for feeder in feeders:
+            feeder.join()
+    if errors:
+        if any(isinstance(exc, BrokenProcessPool) for exc in errors.values()):
+            _shutdown_pool()
+        raise errors[min(errors)]
+    return [results[index] for index in range(len(starts))]
 
 
 def cmd_search(args) -> int:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
-from dataclasses import fields
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +79,28 @@ def stamping_pid(x0, config, options=None):
     time.sleep(0.05)
     x = np.array(x0, dtype=float)
     return PhaseResult(x, 0.0, 0.0, 0, True, message=str(os.getpid()))
+
+
+def failing_by_start(x0, config, options=None):
+    """A Phase 1 that raises after 0.1 s, naming its start by its first entry."""
+    time.sleep(0.1)
+    raise RuntimeError(f"start {x0[0]:g} broke")
+
+
+def exiting_in_worker(x0, config, options=None):
+    """A Phase 1 that logs the id of a worker process it runs in and ends
+    that process; in the calling process it acts as stamping_pid does."""
+    if multiprocessing.parent_process() is None:
+        return stamping_pid(x0, config, options)
+    with open(os.environ[CALL_LOG], "a") as log:
+        log.write(f"{os.getpid()}\n")
+    os._exit(1)
+
+
+def stamped_bfgs(x0, config, options=None):
+    """phase1_bfgs, with the id of the process that ran it after its message."""
+    result = phase1_bfgs(x0, config, options)
+    return replace(result, message=f"{result.message}|{os.getpid()}")
 
 
 @pytest.fixture(scope="module")
@@ -644,3 +671,147 @@ class TestSearch:
         assert outputs[0] == outputs[1]
         code, out, err, docs = outputs[0]
         assert code == 0 and "dropped" in err and list(docs) == ["search_000.json"]
+
+    def test_kept_worker_serves_later_calls(self, monkeypatch):
+        # The worker spawned by the first call runs trials of the next one,
+        # and its results are those of an in-process run bit for bit.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "phase1_bfgs", stamped_bfgs)
+        config = Configuration(n=3, R=1.5, K=6)
+        starts = [pack_vars(random_seed(config, modes=3, rng_seed=seed)) for seed in range(4)]
+        calls = [cli._phase1_trials(starts, config, Phase1Options()) for _ in range(2)]
+        pids = [{int(result.message.rsplit("|", 1)[1]) for result in results} for results in calls]
+        assert pids[0] == pids[1] and os.getpid() in pids[0] and len(pids[0]) == 2
+        for results in calls:
+            for x0, result in zip(starts, results):
+                local = phase1_bfgs(x0, config, Phase1Options())
+                assert result.x.dtype == local.x.dtype and result.x.tobytes() == local.x.tobytes()
+                assert result.message.rsplit("|", 1)[0] == local.message
+                for field in fields(PhaseResult):
+                    if field.name not in ("x", "seconds", "message"):
+                        assert getattr(result, field.name) == getattr(local, field.name), field.name
+
+    def test_dead_worker_replaced(self, tmp_path, monkeypatch):
+        # A worker that dies fails its call with BrokenProcessPool; the next
+        # call spawns a new worker and succeeds.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        starts = [np.full(3, float(trial)) for trial in range(8)]
+        config = Configuration(n=2, R=1.5, K=4)
+        monkeypatch.setattr(cli, "phase1_bfgs", exiting_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            cli._phase1_trials(starts, config, Phase1Options())
+        dead = {int(line) for line in log.read_text().splitlines() if line != "call"}
+        assert len(dead) == 1
+        monkeypatch.setattr(cli, "phase1_bfgs", stamping_pid)
+        results = cli._phase1_trials(starts, config, Phase1Options())
+        assert [result.x.tolist() for result in results] == [x0.tolist() for x0 in starts]
+        pids = {int(result.message) for result in results}
+        assert os.getpid() in pids and len(pids) == 2 and not pids & dead
+
+    def test_pool_replaced_when_cpus_change(self, tmp_path, monkeypatch):
+        # A call on another number of usable CPUs shuts the kept worker
+        # down and spawns new ones.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(cli, "phase1_bfgs", stamping_pid)
+        starts = [np.full(3, float(trial)) for trial in range(8)]
+        workers = []
+        for cpus in ({0, 1}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            results = cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+            workers.append({int(result.message) for result in results} - {os.getpid()})
+        assert workers[0] and workers[1] and not workers[0] & workers[1]
+        for pid in workers[0]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_second_search_same_output_as_one_cpu(self, tmp_path, capsys, monkeypatch):
+        # Two searches in one process on two CPUs, the second on the kept
+        # worker, print and write what a one-CPU search does (but for wall
+        # times).
+        outputs = []
+        for run, cpus in enumerate(({0}, {0, 1}, {0, 1})):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            out_dir = tmp_path / str(run)
+            code = main(["search", "--n", "2", "--R", "1.5", "--K", "4", "--K2", "8", "--trials", "3",
+                         "--modes", "2", "--rng", "5", "--out-dir", str(out_dir)])
+            out, err = capsys.readouterr()
+            docs = {}
+            for path in sorted(out_dir.iterdir()):
+                docs[path.name] = json.loads(path.read_text())
+                for phase in docs[path.name]["diagnostics"].values():
+                    phase.pop("wall_time_seconds")
+            outputs.append((code, out.replace(str(out_dir), "<out>"), err, docs))
+        assert outputs[0] == outputs[1] == outputs[2]
+        code, out, err, docs = outputs[0]
+        assert code == 0 and "dropped" in err and list(docs) == ["search_000.json"]
+
+    def test_no_worker_outlives_the_process(self, tmp_path):
+        # A process that runs two searches and exits leaves no worker alive:
+        # the kept pool is joined at interpreter exit.
+        probe = (
+            "import multiprocessing, os, sys\n"
+            "from hypchoreo import cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "for run in range(2):\n"
+            "    args = ['search', '--n', '2', '--R', '1.5', '--K', '4', '--K2', '8', '--trials', '3',\n"
+            "            '--modes', '2', '--rng', '5', '--out-dir', sys.argv[1] + str(run)]\n"
+            "    assert cli.main(args) == 0\n"
+            "print(*[child.pid for child in multiprocessing.active_children()])\n"
+        )
+        where = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (where, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "found")],
+                             capture_output=True, text=True, check=True, env=env, timeout=120)
+        pids = [int(word) for word in out.stdout.splitlines()[-1].split()]
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_lowest_failed_trial_raised(self, monkeypatch):
+        # This process fails trial 7 before the worker fails trial 0; the
+        # call waits for both and raises trial 0's exception.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "phase1_bfgs", failing_by_start)
+        starts = [np.full(3, float(trial)) for trial in range(8)]
+        with pytest.raises(RuntimeError, match="^start 0 broke$"):
+            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+
+    def test_claims_hold_under_fast_thread_switching(self, tmp_path, monkeypatch):
+        # Two workers' feeders and this process, more than this machine may
+        # have cores, claim trials while threads switch every microsecond:
+        # each trial runs once, and the results come in trial order.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(cli, "phase1_bfgs", stamping_pid)
+        starts = [np.full(3, float(trial)) for trial in range(24)]
+        results = []
+
+        def trials():
+            results.extend(cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=trials, daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert [result.x.tolist() for result in results] == [x0.tolist() for x0 in starts]
+        assert len(log.read_text().splitlines()) == len(starts)
+
+    def test_search_without_sched_getaffinity(self, tmp_path, capsys, monkeypatch):
+        # Where os has no sched_getaffinity (macOS, Windows), search counts
+        # CPUs by os.cpu_count.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        out_dir = tmp_path / "found"
+        code = main(["search", "--n", "2", "--R", "1.5", "--K", "4", "--K2", "8", "--trials", "3",
+                     "--modes", "2", "--rng", "5", "--out-dir", str(out_dir)])
+        assert code == 0
+        assert [p.name for p in out_dir.iterdir()] == ["search_000.json"]
