@@ -134,6 +134,8 @@ class Configuration:
             raise ValueError("need at least two bodies")
         if not self.R > 0.0:
             raise ValueError("curvature radius must be positive (math.inf for planar)")
+        if not math.isfinite((1.0 / self.R) * (1.0 / self.R)):
+            raise ValueError(f"curvature 1/R^2 overflows at R = {self.R!r}")
         if self.K < 1:
             raise ValueError("bandwidth K must be at least 1")
         if not math.isfinite(self.omega):
@@ -595,7 +597,7 @@ def hyperboloid_energies(path: TrigPath, config: Configuration, times) -> tuple[
 
     kinetic = np.zeros_like(t)
     for V in vel:
-        kinetic += 0.5 * (V[..., 0] ** 2 + V[..., 1] ** 2 - V[..., 2] ** 2)
+        kinetic += 0.5 * geometry.lorentz_inner(V, V)
 
     potential = np.zeros_like(t)
     for i in range(config.n):

@@ -6,17 +6,19 @@ export (orbit samples or coefficient magnitudes as CSV), and search
 (multi-seed random exploration).
 
 search draws every seed in this process, then runs the trials' Phase 1
-here and in spawned worker processes, one fewer than usable CPUs (so
-`taskset` limits them; one CPU spawns none), and Phase 2 here, in trial
-order.  Trials are handed out one at a time: this process takes them
-from the back, each worker from the front.  A trial's iterates are
-those of an in-process run bit for bit, so the output does not depend
-on where each trial ran.  The workers are kept for the next search in
-the same process (each holds about 34 MB resident between searches on
-x86_64 Linux), so only the first search waits for them to start; they
-are replaced when the number of usable CPUs changes or a worker dies,
-and joined at interpreter exit.  Each worker imports the calling
-script, so a script that runs search through main must call it under
+in a pool of spawned worker processes, one per usable CPU (so `taskset`
+limits them; one CPU spawns none and runs every trial here), while this
+process waits, and Phase 2 here, in trial order.  So a tracer that
+wraps this process's functions sees no Phase-1 trial unless one CPU is
+usable.  A trial's iterates are those of an in-process run bit for bit,
+so the output does not depend on where each trial ran.  The workers
+are kept for the next search in the same process (each holds about
+33 MB resident between searches on x86_64 Linux, so 2 x 33 MB on two
+CPUs), so only the first search waits for them to start; a one-shot
+search runs no trial during that wait.  They are replaced when the
+number of usable CPUs changes or a worker dies, and joined at
+interpreter exit.  Each worker imports the calling script, so a script
+that runs search through main must call it under
 `if __name__ == "__main__":`.  sweep corrects the whole doubled disk
 orbit sigma q by Newton alone at --K2 into the flat orbit.  The optimizer
 judges every Newton run; search alone still writes one that stopped
@@ -30,13 +32,12 @@ or unwritable files.
 from __future__ import annotations
 
 import argparse
-import collections
 import math
 import multiprocessing
 import os
 import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -88,6 +89,8 @@ def _radius(text: str) -> float:
     value = float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError("R must be positive (inf for the flat problem)")
+    if not math.isfinite((1.0 / value) * (1.0 / value)):
+        raise argparse.ArgumentTypeError(f"R = {value} is too small: its curvature 1/R^2 overflows")
     return value
 
 
@@ -287,7 +290,10 @@ _pool_lock = threading.Lock()
 
 def _kept_pool(workers: int) -> ProcessPoolExecutor:
     """The kept pool, first replaced by one of `workers` spawned workers
-    when it has another size or there is none."""
+    (fork is unsafe once BLAS threads run) when it has another size or
+    there is none.  search asks for one worker per usable CPU and waits
+    while they run; each holds about 33 MB resident between searches on
+    x86_64 Linux."""
     global _pool, _pool_workers
     with _pool_lock:
         if _pool is None or _pool_workers != workers:
@@ -312,63 +318,45 @@ def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Pha
     carries its own wall time (PhaseResult.seconds).
 
     Each run calls this module's phase1_bfgs.  With one usable CPU, or
-    one start, every run is made here.  Otherwise runs are shared, one
-    at a time, between this process and a pool of spawned workers, one
-    fewer than usable CPUs (fork is unsafe once BLAS threads run).  The
-    pool is kept for later calls, so only the first call in a process
-    waits for workers to start; it is replaced when the number of usable
-    CPUs changes, or after a worker died (that call raises
-    BrokenProcessPool), and joined at interpreter exit.  One feeder
-    thread per worker claims the next run from the front and hands only
-    that run to the pool; this process claims from the back and makes
-    its runs itself.  So no run waits behind a busy or starting worker,
-    and each run is made once.  The first run that raises, here or in a
-    worker, stops all further claims; once the runs under way have
-    returned, the exception of the lowest-numbered failed run is raised.
+    one start, every run is made here.  Otherwise every run is submitted
+    to the kept pool of one worker per usable CPU, and this process
+    waits: a tracer of this process sees no run, and the first call in
+    a process runs nothing while the workers start.  The pool is kept
+    for later calls, so only that call waits for them.  It is replaced
+    when the number of usable CPUs changes, or after a worker died: a
+    call whose runs saw the death raises BrokenProcessPool, and a call
+    that finds the pool already broken (a worker died while idle)
+    submits once more on a new pool.  It is joined at interpreter exit.
+    The first run that raises, or an interrupt, cancels the runs not yet
+    handed to a worker; the exception of the lowest-numbered failed run
+    is raised once the runs before it have returned.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
-    workers = (len(affinity(0)) if affinity else os.cpu_count() or 1) - 1
-    if workers < 1 or len(starts) < 2:
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if workers < 2 or len(starts) < 2:
         return [phase1_bfgs(x0, config, options) for x0 in starts]
-    pool = _kept_pool(workers)
-    todo = collections.deque(range(len(starts)))
-    results, errors = {}, {}
-    lock = threading.Lock()
 
-    def in_worker(x0, config, options):
-        return pool.submit(phase1_bfgs, x0, config, options).result()
+    def submit_all():
+        pool = _kept_pool(workers)
+        return [pool.submit(phase1_bfgs, x0, config, options) for x0 in starts]
 
-    def claim_and_run(take, run):
-        while True:
-            with lock:
-                if not todo:
-                    return
-                index = take()
-            try:
-                results[index] = run(starts[index], config, options)
-            except BaseException as exc:  # raised below, in the calling thread
-                with lock:
-                    errors[index] = exc
-                    todo.clear()
-
-    feeders = [
-        threading.Thread(target=claim_and_run, args=(todo.popleft, in_worker))
-        for _ in range(min(workers, len(starts)))
-    ]
-    for feeder in feeders:
-        feeder.start()
     try:
-        claim_and_run(todo.pop, phase1_bfgs)
+        futures = submit_all()
+    except BrokenProcessPool:
+        _shutdown_pool()
+        futures = submit_all()
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
     finally:
-        with lock:
-            todo.clear()  # so that an interrupt here stops the feeders too
-        for feeder in feeders:
-            feeder.join()
-    if errors:
-        if any(isinstance(exc, BrokenProcessPool) for exc in errors.values()):
-            _shutdown_pool()
-        raise errors[min(errors)]
-    return [results[index] for index in range(len(starts))]
+        for future in futures:
+            future.cancel()
+    try:
+        # Runs are handed out in order, so every cancelled run comes
+        # after the first that failed.
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        _shutdown_pool()
+        raise
 
 
 def cmd_search(args) -> int:

@@ -225,12 +225,9 @@ def extrinsic_residual(choreo, oversample: int = 4) -> float:
         Xp[:, comp] = d1.at_nodes(N).real
         Xpp[:, comp] = d1.derivative().at_nodes(N).real
 
-    def inner(A, B):
-        return A[:, 0] * B[:, 0] + A[:, 1] * B[:, 1] - A[:, 2] * B[:, 2]
-
-    rhs = (inner(Xp, Xp) / (R * R))[:, None] * X0
+    rhs = (geometry.lorentz_inner(Xp, Xp) / (R * R))[:, None] * X0
     for Xi in lifts[1:]:
-        g = inner(Xi, X0)
+        g = geometry.lorentz_inner(Xi, X0)
         denom = (g * g - R ** 4) ** 1.5
         rhs = rhs + (R ** 3 * Xi + R * g[:, None] * X0) / denom[:, None]
 

@@ -528,6 +528,9 @@ class TestConfigurationValidation:
             Configuration(n=3, R=-1.0, K=3)
         with pytest.raises(ValueError):
             Configuration(n=3, R=1.0, K=0)
+        with pytest.raises(ValueError, match="overflows"):
+            Configuration(n=3, R=1e-300, K=3)
+        assert Configuration(n=3, R=1e-150, K=3).R == 1e-150
         for omega in (math.nan, math.inf):
             with pytest.raises(ValueError, match="omega"):
                 Configuration(n=3, R=1.0, K=3, omega=omega)
