@@ -58,7 +58,10 @@ FFT call per stage for any n, and every row keeps the digits it would
 get alone.  The value reads F, the gradient F', the Hessian F''.
 evaluate keeps the node state and value of the latest point, so a
 gradient or Hessian asked for right after the value at the same point
-skips the first stage.
+skips the first stage.  That state also keeps the point's long-double
+gradient once computed, read-only, so a second precise gradient at the
+same point (Newton's last one, then the verification of its orbit)
+costs no transform at all.
 
 The gradient formula is written once and runs on the same FFT transform
 in one of two precisions, each built once per (K, precise) and cached:
@@ -322,6 +325,7 @@ class _NodeState:
     """
 
     def __init__(self, p: np.ndarray, config: Configuration, precise: bool = False, M: int | None = None):
+        self.coefficients = p
         K = (p.size - 1) // 2
         # Without M, the same cache entry as _transform(K, precise).
         self.sp = sp = _transform(K, precise) if M is None else _transform(K, precise, M)
@@ -347,6 +351,15 @@ class _NodeState:
     def kernel(self) -> _PairKernel:
         """The pair kernel at seps_sq; only defined once no pair has collided."""
         return _PairKernel(self.seps_sq, self.eps)
+
+    @functools.cached_property
+    def precise_gradient(self) -> np.ndarray:
+        """The action's gradient at these coefficients from long-double node
+        values on the quadrature grid, read-only; computed on first use.
+        Only defined once the point is feasible."""
+        gradient = _first_order(_NodeState(self.coefficients, self.config, precise=True))[0]
+        gradient.flags.writeable = False
+        return gradient
 
     def check(self) -> None:
         """Raise OutOfDiskError when eps |p|^2 / 4 >= (1 - BOUNDARY_MARGIN)^2
@@ -375,7 +388,8 @@ def _state_and_value(data: bytes, config: Configuration) -> tuple[_NodeState, fl
 
     Keeping the latest one lets a gradient or Hessian request right after
     a value request at the same point (BFGS's fun then grad, Newton's
-    value then precise gradient) reuse the node values.
+    value then precise gradient) reuse the node values, and a second
+    precise gradient reuse the first (_NodeState.precise_gradient).
     """
     state = _NodeState(_coefficients(np.frombuffer(data), config), config)
     return state, state.value()
@@ -458,7 +472,9 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     the double-precision gradient's).  Each transform is built once per
     (K, precise) and cached, and the node state and value of the latest
     point are kept, keyed by the bytes of x and the configuration, so a
-    second call at the same point starts from them.
+    second call at the same point starts from them.  The precise gradient
+    is kept with that state and returned read-only: a second precise call
+    at the same point returns the same array without recomputing it.
     """
     x = np.asarray(x, dtype=float)
     state, value = _state_and_value(x.tobytes(), config)
@@ -472,11 +488,13 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
 
     if order < 1:
         return ActionEvaluation(value)
-    gradient, first = _first_order(_NodeState(_coefficients(x, config), config, precise=True) if precise else state)
+    if precise and order < 2:
+        return ActionEvaluation(value, state.precise_gradient)
+    gradient, first = _first_order(state)
     if order < 2:
         return ActionEvaluation(value, gradient)
     if precise:
-        first = _first_order(state)[1]
+        gradient = state.precise_gradient
 
     # Holomorphic-holomorphic block T and Hermitian block Wm; the real
     # Hessian of sum f(y, ybar) with y = E c is assembled from

@@ -328,8 +328,9 @@ def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Pha
     that finds the pool already broken (a worker died while idle)
     submits once more on a new pool.  It is joined at interpreter exit.
     The first run that raises, or an interrupt, cancels the runs not yet
-    handed to a worker; the exception of the lowest-numbered failed run
-    is raised once the runs before it have returned.
+    handed to a worker.  An interrupt leaves at once; after a failed run
+    the call waits for every run a worker already holds, then raises the
+    exception of the lowest-numbered failed run.
     """
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -350,6 +351,9 @@ def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Pha
     finally:
         for future in futures:
             future.cancel()
+    # After a failed run, the runs already handed to a worker cannot be
+    # cancelled; wait for them, so that none runs on into the next call.
+    wait(futures)
     try:
         # Runs are handed out in order, so every cancelled run comes
         # after the first that failed.

@@ -12,7 +12,8 @@ Because the action is invariant under rotations of the disk and time
 shifts of the path (and under boosts for some configurations), its
 Hessian is singular along those directions at every minimizer.  Each
 Newton step therefore solves with H shifted by tau I, tau = 1e-10 +
-1e-12 ||H||_1, factored by Cholesky (the modified Newton step of Nocedal
+1e-12 ||H||_1, factored once by Cholesky and solved on that factor by
+blocked triangular substitution (the modified Newton step of Nocedal
 and Wright, section 3.4): the shift only damps the pure-symmetry
 components of the step and leaves quadratic convergence in the remaining
 directions intact.  Only when the factorization fails, because H has
@@ -25,7 +26,10 @@ below minus the floor.
 Newton stops when the relative gradient norm reaches the tolerance or
 the rounding floor that float64 coefficients put under it, estimated
 from each assembled Hessian; at that floor the gradient is noise, so it
-counts as convergence and not as divergence.
+counts as convergence and not as divergence.  Its gradients are the
+long-double ones, which action.evaluate keeps for the latest point, so
+the verification right after a solve reads the last one again without
+computing it.
 
 Infeasible trajectories (a node outside the disk, a collision) make the
 action non-finite, which the Armijo backtracking line search rejects
@@ -76,6 +80,10 @@ _STALL_DECREASE = 1e-8
 # eigh step it falls back to on negative curvature.  A relative part
 # 1e-12 ||H|| is always added.
 _EIGENVALUE_FLOOR = 1e-10
+
+# Width of the diagonal blocks of the triangular solves on a Cholesky
+# factor (_cholesky_solve).
+_SOLVE_BLOCK = 64
 
 
 class InfeasibleSeedError(ValueError):
@@ -188,7 +196,7 @@ def _rel_gradient_norm(g: np.ndarray, x: np.ndarray) -> float:
     return float(np.linalg.norm(g)) / max(float(np.linalg.norm(x)), 1e-300)
 
 
-def _bfgs_update(Hinv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+def _bfgs_update(Hinv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float, work) -> None:
     """Inverse-BFGS update of Hinv in place, for the step s, the gradient
     change y and their curvature sy = s.y (Nocedal and Wright, section 6.1):
 
@@ -196,10 +204,17 @@ def _bfgs_update(Hinv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float) -> N
         u = ((sy + y.Hy) / (2 sy^2)) s - Hy / sy,
 
     the symmetric rank-2 form, added as one (dim, 2) by (2, dim) product.
+    work holds its buffers, C-ordered arrays of shapes (dim, 2), (2, dim)
+    and (dim, dim), which every update of a run reuses, so no update
+    allocates a dim^2 temporary.
     """
+    left, right, product = work
     Hy = Hinv @ y
     u = ((sy + float(y @ Hy)) / (2.0 * sy * sy)) * s - Hy / sy
-    Hinv += np.stack((u, s), axis=1) @ np.stack((s, u))
+    left[:, 0] = right[1] = u
+    left[:, 1] = right[0] = s
+    np.matmul(left, right, out=product)
+    Hinv += product
 
 
 def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseResult:
@@ -214,7 +229,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     first accepted step and updates are skipped when the curvature s.y is
     too small to be trustworthy.  Each update is the inverse-BFGS formula
     in its symmetric rank-2 form H + u s' + s u', added in place as one
-    product (_bfgs_update).
+    product into buffers allocated once per run (_bfgs_update).
 
     The run stalls when no iterate in the last _STALL_WINDOW has a
     smaller relative gradient than the smallest seen and the value fell by
@@ -238,6 +253,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     dim = x.size
     identity = np.eye(dim)
     Hinv = identity.copy()
+    work = (np.empty((dim, 2)), np.empty((2, dim)), np.empty((dim, dim)))
     first_update = True
     values = [f]
     gnorms = [_rel_gradient_norm(g, x)]
@@ -306,7 +322,7 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
             Hinv = (sy / float(y @ y)) * identity
             first_update = False
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            _bfgs_update(Hinv, s, y, sy)
+            _bfgs_update(Hinv, s, y, sy, work)
         x, f, g = x_new, f_new, g_new
         values.append(f)
         gnorms.append(_rel_gradient_norm(g, x))
@@ -347,12 +363,36 @@ def phase1_bfgs(x0, config: Configuration, options: Phase1Options | None = None)
     )
 
 
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution x of L L^T x = b, for a lower triangular factor L.
+
+    numpy has no triangular solve, so this is blocked forward and back
+    substitution (Golub and Van Loan, section 4.2): each _SOLVE_BLOCK-wide
+    diagonal block of L, or of L^T, is solved by np.linalg.solve, and the
+    blocks already solved enter by one matrix-vector product per block.
+    That is O(dim^2 + dim _SOLVE_BLOCK^2) work, against the O(dim^3) of
+    factoring L L^T again.
+    """
+    dim = b.size
+    starts = range(0, dim, _SOLVE_BLOCK)
+    y = np.empty(dim)
+    for i in starts:
+        j = min(i + _SOLVE_BLOCK, dim)
+        y[i:j] = np.linalg.solve(L[i:j, i:j], b[i:j] - L[i:j, :i] @ y[:i])
+    x = np.empty(dim)
+    for i in reversed(starts):
+        j = min(i + _SOLVE_BLOCK, dim)
+        x[i:j] = np.linalg.solve(L[i:j, i:j].T, y[i:j] - L[j:, i:j].T @ x[j:])
+    return x
+
+
 def _newton_step(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, int]:
     """Newton step -H^-1 g under the gauge floor, and its index.
 
     Solves (H + tau I) s = -g with tau = _EIGENVALUE_FLOOR + 1e-12 ||H||_1
     (||H||_1 >= max|lam|, so tau is never below the eigh floor) when that
-    matrix has a Cholesky factor; the index is then 0.  Otherwise H has
+    matrix has a Cholesky factor L, on L itself (_cholesky_solve), so the
+    step factors H once; the index is then 0.  Otherwise H has
     negative curvature, and the step is the saddle-free eigh step, which
     divides by max(|lam|, _EIGENVALUE_FLOOR + 1e-12 max|lam|); the index
     counts the eigenvalues below minus that floor.  H is shifted in place,
@@ -361,12 +401,13 @@ def _newton_step(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, int]:
     diagonal = H.diagonal().copy()
     H.flat[:: H.shape[0] + 1] += _EIGENVALUE_FLOOR + 1e-12 * float(np.linalg.norm(H, 1))
     try:
-        np.linalg.cholesky(H)
-        return np.linalg.solve(H, -g), 0
+        L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        pass
+        L = None
     finally:
         np.fill_diagonal(H, diagonal)
+    if L is not None:
+        return _cholesky_solve(L, -g), 0
     lam, vecs = np.linalg.eigh(H)
     lam_floor = _EIGENVALUE_FLOOR + 1e-12 * float(np.max(np.abs(lam)))
     # Saddle-free step: descend along negative-curvature directions by

@@ -341,11 +341,11 @@ class TestStackedEvaluation:
         assert len(_transform(6, False, 25).fold(n)[0]) == 13
 
     @staticmethod
-    def _fresh(x, config, order):
+    def _fresh(x, config, order, precise=False):
         """An evaluation that cannot reuse a kept state: another point comes between."""
         other = Configuration(n=2, R=math.inf, K=1)
         evaluate(np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0]), other, order=0)
-        return evaluate(x.copy(), config, order=order)
+        return evaluate(x.copy(), config, order=order, precise=precise)
 
     def test_reused_state_follows_in_place_edit(self):
         config = FD_CONFIGS[0]
@@ -370,6 +370,54 @@ class TestStackedEvaluation:
         assert got.value != before
         assert got.value == want.value
         assert np.array_equal(got.gradient, want.gradient)
+
+    def test_second_precise_gradient_reused(self, monkeypatch):
+        # A second precise gradient at the same bytes and configuration is
+        # the kept array itself: no transform runs.
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ifft(*args, **kwargs)
+
+        config = Configuration(n=5, R=1.2, K=10)
+        x = feasible_point(config, np.random.default_rng(54))
+        first = evaluate(x, config, order=1, precise=True).gradient
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        second = evaluate(x.copy(), config, order=1, precise=True)
+        assert calls == []
+        assert second.gradient is first
+        assert second.value == evaluate(x, config, order=0).value
+
+    def test_precise_gradient_is_read_only(self):
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(55))
+        gradient = evaluate(x, config, order=1, precise=True).gradient
+        with pytest.raises(ValueError, match="read-only"):
+            gradient[0] = 1.0
+        assert not evaluate(x, config, order=2, precise=True).gradient.flags.writeable
+
+    def test_precise_gradient_follows_in_place_edit(self):
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(56))
+        before = evaluate(x, config, order=1, precise=True).gradient
+        x[3] += 1e-3
+        got = evaluate(x, config, order=1, precise=True).gradient
+        want = self._fresh(x, config, 1, precise=True).gradient
+        assert not np.array_equal(got, before)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("change", [{"R": 1.7}, {"omega": 0.4}], ids=["R", "omega"])
+    def test_precise_gradient_follows_configuration(self, change):
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(57))
+        before = evaluate(x, config, order=1, precise=True).gradient
+        other = replace(config, **change)
+        got = evaluate(x, other, order=1, precise=True).gradient
+        assert not np.array_equal(got, before)
+        assert np.array_equal(got, self._fresh(x, other, 1, precise=True).gradient)
+
 
 
 class TestSymmetries:

@@ -89,13 +89,25 @@ def failing_by_start(x0, config, options=None):
 
 
 def exiting_in_worker(x0, config, options=None):
-    """A Phase 1 that logs the id of a worker process it runs in and ends
-    that process; in the calling process it acts as stamping_pid does."""
-    if multiprocessing.parent_process() is None:
-        return stamping_pid(x0, config, options)
+    """A Phase 1 that logs the id of the worker process it runs in and ends
+    that process; it must never run in the calling process."""
+    assert multiprocessing.parent_process() is not None, "a trial ran in the calling process"
     with open(os.environ[CALL_LOG], "a") as log:
         log.write(f"{os.getpid()}\n")
     os._exit(1)
+
+
+def first_fails_others_sleep(x0, config, options=None):
+    """A Phase 1 that raises after 0.1 s on the start whose first entry is
+    0; on any other start it sleeps 0.3 s, then logs the time it ends."""
+    if x0[0] == 0.0:
+        time.sleep(0.1)
+        raise RuntimeError("start 0 broke")
+    time.sleep(0.3)
+    with open(os.environ[CALL_LOG], "a") as log:
+        log.write(f"{time.time()!r}\n")
+    x = np.array(x0, dtype=float)
+    return PhaseResult(x, 0.0, 0.0, 0, True)
 
 
 def stamped_bfgs(x0, config, options=None):
@@ -799,6 +811,42 @@ class TestSearch:
         starts = [np.full(3, float(trial)) for trial in range(8)]
         with pytest.raises(RuntimeError, match="^start 0 broke$"):
             cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+
+    def test_failed_call_waits_for_held_trials(self, tmp_path, monkeypatch):
+        # Trial 0 fails in one of two workers while the others run; the
+        # call raises only once every trial a worker already held has ended,
+        # so none runs on into the next call.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "phase1_bfgs", first_fails_others_sleep)
+        starts = [np.full(3, float(trial)) for trial in range(8)]
+        with pytest.raises(RuntimeError, match="^start 0 broke$"):
+            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+        raised = time.time()
+        time.sleep(1.0)  # long enough for any trial still running to log its end
+        ends = [float(line) for line in log.read_text().splitlines()]
+        assert 1 <= len(ends) < len(starts) - 1
+        assert all(end < raised for end in ends)
+
+    def test_interrupt_leaves_at_once(self, tmp_path, monkeypatch):
+        # An interrupt while the trials run cancels those not yet handed to
+        # a worker and leaves without waiting for the rest.
+        log = tmp_path / "calls"
+        monkeypatch.setenv(CALL_LOG, str(log))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "phase1_bfgs", first_fails_others_sleep)
+        waits = []
+
+        def interrupted(futures, return_when=None):
+            waits.append(return_when)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "wait", interrupted)
+        starts = [np.full(3, float(trial)) for trial in range(1, 9)]
+        with pytest.raises(KeyboardInterrupt):
+            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+        assert len(waits) == 1
 
     def test_claims_hold_under_fast_thread_switching(self, tmp_path, monkeypatch):
         # Three workers, more than this machine may have cores, take trials

@@ -18,8 +18,10 @@ from hypchoreo.optimizer import (
     PhaseResult,
     SolveFailure,
     _bfgs_update,
+    _cholesky_solve,
     _newton_step,
     minimize_bfgs,
+    phase1_bfgs,
     phase2_newton,
     random_seed,
     solve,
@@ -44,6 +46,19 @@ def circle_action(r, config):
         d = math.sqrt(lam) * 2 * r * math.sin(math.pi * j / n)
         total += (0.5 * n / R) * (2 * R * R + d * d) / (d * math.sqrt(4 * R * R + d * d)) * 2 * math.pi
     return total
+
+
+def bfgs_work(dim):
+    """The buffers minimize_bfgs hands _bfgs_update."""
+    return np.empty((dim, 2)), np.empty((2, dim)), np.empty((dim, dim))
+
+
+def stacked_update(Hinv, s, y, sy, work=None):
+    """The inverse-BFGS update with fresh np.stack operands, the form the
+    buffered _bfgs_update must reproduce bit for bit."""
+    Hy = Hinv @ y
+    u = ((sy + float(y @ Hy)) / (2.0 * sy * sy)) * s - Hy / sy
+    Hinv += np.stack((u, s), axis=1) @ np.stack((s, u))
 
 
 def best_circle(config):
@@ -163,7 +178,7 @@ class TestMinimizeBfgs:
         grad = lambda x: a * (x - b)
         updates = []
 
-        def to_minus_identity(Hinv, s, y, sy):
+        def to_minus_identity(Hinv, s, y, sy, work):
             updates.append(sy)
             Hinv[...] = -np.eye(Hinv.shape[0])
 
@@ -275,10 +290,40 @@ class TestMinimizeBfgs:
         left = np.eye(dim) - rho * np.outer(s, y)
         want = left @ H @ left.T + rho * np.outer(s, s)
         got = H.copy()
-        _bfgs_update(got, s, y, sy)
+        _bfgs_update(got, s, y, sy, bfgs_work(dim))
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
         assert np.max(np.abs(got - got.T)) <= 4 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("dim", [110, 150])
+    def test_buffered_update_matches_stacked_bitwise(self, dim):
+        # Three updates through the same buffers give the np.stack form's
+        # Hinv bit for bit.
+        rng = np.random.default_rng(dim + 1)
+        A = rng.standard_normal((dim, dim))
+        got = A @ A.T / dim + np.eye(dim)
+        want = got.copy()
+        work = bfgs_work(dim)
+        for _ in range(3):
+            s = rng.standard_normal(dim)
+            y = (A @ A.T / dim + 2.0 * np.eye(dim)) @ s
+            sy = float(s @ y)
+            _bfgs_update(got, s, y, sy, work)
+            stacked_update(want, s, y, sy)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["figure_eight_seed", "five_body_c_seed", "relative_a_seed"])
+    def test_phase1_same_with_stacked_update(self, name, monkeypatch):
+        # Phase 1 from a bundled seed takes the same iterates, bit for bit,
+        # as with the np.stack form of the update.
+        seed = load_bundled(name)
+        x0 = pack_vars(seed.path)
+        got = phase1_bfgs(x0, seed.config)
+        monkeypatch.setattr(optimizer, "_bfgs_update", stacked_update)
+        want = phase1_bfgs(x0, seed.config)
+        assert got.iterations == want.iterations
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.values == want.values
 
 
 class TestCircleEquilibria:
@@ -638,6 +683,44 @@ class TestNewtonStep:
         assert np.array_equal(step, saddle_free_step(H, g))
         # -1e-14 lies inside the floor: a null mode, not negative curvature.
         assert index == 2
+
+    def test_one_factorization_on_orbit_hessian(self, monkeypatch):
+        # The Cholesky step factors the figure-eight's shifted Hessian once
+        # and solves on that factor: np.linalg.solve sees only diagonal
+        # blocks, never the full matrix.
+        orbit = load_bundled("figure_eight")
+        H = evaluate(pack_vars(orbit.path), orbit.config, order=2).hessian
+        g = H @ np.random.default_rng(4).standard_normal(H.shape[0])
+        cholesky, solve = np.linalg.cholesky, np.linalg.solve
+        factored, solved = [], []
+
+        def counted_cholesky(a, *args, **kwargs):
+            factored.append(a.shape)
+            return cholesky(a, *args, **kwargs)
+
+        def counted_solve(a, b, *args, **kwargs):
+            solved.append(a.shape)
+            return solve(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        step, index = _newton_step(H, g)
+        assert index == 0 and factored == [H.shape]
+        assert solved and all(shape[0] < H.shape[0] for shape in solved)
+        # Backward stable: the residual is rounding of the scale of H and the step.
+        shifted = H + (_EIGENVALUE_FLOOR + 1e-12 * np.linalg.norm(H, 1)) * np.eye(H.shape[0])
+        residual = np.linalg.norm(shifted @ step + g)
+        assert residual <= 1e-13 * np.linalg.norm(H, 2) * np.linalg.norm(step)
+
+    @pytest.mark.parametrize("dim", [1, 63, 64, 65, 210, 610])
+    def test_blocked_solve_matches_lu(self, dim):
+        rng = np.random.default_rng(dim)
+        A = rng.standard_normal((dim, dim))
+        S = A @ A.T / dim + np.eye(dim)
+        b = rng.standard_normal(dim)
+        want = np.linalg.solve(S, b)
+        got = _cholesky_solve(np.linalg.cholesky(S), b)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("lowest", [-1.0, 1.0])
     def test_hessian_comes_back_bit_for_bit(self, lowest):
