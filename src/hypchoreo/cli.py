@@ -50,7 +50,6 @@ from .continuation import ContinuationResult, continue_in_R, convergence_rate, s
 from .optimizer import (
     Choreography,
     InfeasibleSeedError,
-    Phase1Options,
     Phase2Options,
     PhaseResult,
     SolveFailure,
@@ -68,11 +67,6 @@ EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
 EXIT_INFEASIBLE_SEED = 3
 EXIT_FILE_ERROR = 4
-
-# Newton step cap of sweep's flat solve from the doubled disk orbit,
-# scaled to the flat virial radius.  The bundled orbits need 0 to 5
-# steps, five_body_c (R = 1.2) 8.
-_FLAT_NEWTON_STEPS = 20
 
 _REPORT_ROWS = (
     ("Action", lambda r: f"{r.action:.16g}"),
@@ -165,7 +159,7 @@ def cmd_solve(args) -> int:
     config = Configuration(n=args.n, R=args.R, K=args.K, omega=args.omega)
     seed = _resolve_seed(args.seed, config, args.modes)
     try:
-        choreo = solve(config, seed, Phase1Options(), Phase2Options(K2=args.K2))
+        choreo = solve(config, seed, Phase2Options(K2=args.K2))
     except SolveFailure as exc:
         print(_format_report(exc.choreography.report))
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -225,7 +219,7 @@ def cmd_sweep(args) -> int:
         planar_start = family
         if not family.config.is_planar:
             doubled = TrigPath(family.path.coeffs * family.config.sigma)
-            planar_start = solve_planar(replace(family.config, R=math.inf), doubled, replace(options2, max_iterations=_FLAT_NEWTON_STEPS))
+            planar_start = solve_planar(replace(family.config, R=math.inf), doubled, options2)
         result = continue_in_R(replace(family.config, R=radii[0]), radii, planar_start, options2)
     except SolveFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
@@ -313,7 +307,7 @@ def _shutdown_pool() -> None:
             _pool = None
 
 
-def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Phase1Options) -> list[PhaseResult]:
+def _phase1_trials(starts: list[np.ndarray], config: Configuration) -> list[PhaseResult]:
     """Phase 1 from each start, in the order of starts; each result
     carries its own wall time (PhaseResult.seconds).
 
@@ -335,11 +329,11 @@ def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Pha
     affinity = getattr(os, "sched_getaffinity", None)  # missing on macOS and Windows
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers < 2 or len(starts) < 2:
-        return [phase1_bfgs(x0, config, options) for x0 in starts]
+        return [phase1_bfgs(x0, config) for x0 in starts]
 
     def submit_all():
         pool = _kept_pool(workers)
-        return [pool.submit(phase1_bfgs, x0, config, options) for x0 in starts]
+        return [pool.submit(phase1_bfgs, x0, config) for x0 in starts]
 
     try:
         futures = submit_all()
@@ -365,7 +359,6 @@ def _phase1_trials(starts: list[np.ndarray], config: Configuration, options: Pha
 
 def cmd_search(args) -> int:
     config = Configuration(n=args.n, R=args.R, K=args.K, omega=args.omega)
-    options1 = Phase1Options()
     options2 = Phase2Options(K2=args.K2)
 
     def drop(trial, reason):
@@ -379,7 +372,7 @@ def cmd_search(args) -> int:
             infeasible[trial] = exc
             continue
         starts[trial] = pack_vars(seed)
-    runs = dict(zip(starts, _phase1_trials(list(starts.values()), config, options1)))
+    runs = dict(zip(starts, _phase1_trials(list(starts.values()), config)))
 
     candidates = []
     for trial in range(args.trials):
@@ -443,9 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check decay, gradient norm, and motion residual")
     p_verify.add_argument("file", help="solution file (or bundled:<name>)")
-    p_verify.add_argument("--decay-threshold", type=float, default=1e-8)
-    p_verify.add_argument("--gradient-threshold", type=float, default=1e-8)
-    p_verify.add_argument("--residual-threshold", type=float, default=1e-8)
+    bounds = VerificationThresholds()
+    p_verify.add_argument("--decay-threshold", type=float, default=bounds.decay)
+    p_verify.add_argument("--gradient-threshold", type=float, default=bounds.gradient)
+    p_verify.add_argument("--residual-threshold", type=float, default=bounds.residual)
     p_verify.set_defaults(handler=cmd_verify)
 
     # No abbreviations: an old --K is an error, not a prefix of --K2.

@@ -41,7 +41,7 @@ from .action import Configuration, action_value
 from .optimizer import Choreography, Phase2Options, SolveFailure, _phase2_config, _solve_phase2
 # perfbench/workloads.py imports _fit_bandwidth from here.
 from .trigpath import TrigPath, _fit_bandwidth, pack_vars
-from .verify import VerificationThresholds, verify_all
+from .verify import verify_all
 
 __all__ = [
     "FamilyMember",
@@ -201,17 +201,17 @@ def continue_in_R(
     R_list,
     planar_start: Choreography,
     options2: Phase2Options | None = None,
-    thresholds: VerificationThresholds | None = None,
 ) -> ContinuationResult:
     """Newton-only sweep over descending curvature radii.
 
     Each member is Newton-corrected by `_solve_phase2` at K2 (options2.K2,
     default 2 K) from the flat solution divided by the disk's sigma (first,
     largest R), cut or padded to K2, or from the previous member.  A member
-    must converge and pass verify_all; the sweep stops at the first failure
-    and returns the prefix with failed_at and reason set: the SolveFailure
-    message, which starts "phase 2 " (for an unconverged run it names the
-    final relative gradient and step count), or verify_all's failures.
+    must converge and pass verify_all at the default thresholds; the sweep
+    stops at the first failure and returns the prefix with failed_at and
+    reason set: the SolveFailure message, which starts "phase 2 " (for an
+    unconverged run it names the final relative gradient and step count),
+    or verify_all's failures.
     """
     radii = [float(R) for R in R_list]
     if not radii:
@@ -232,7 +232,7 @@ def continue_in_R(
             choreo = _solve_phase2(replace(family_config, R=R), start, options2)
         except SolveFailure as exc:
             return ContinuationResult(members, failed_at=R, reason=str(exc))
-        verdict = verify_all(choreo, thresholds)
+        verdict = verify_all(choreo)
         if not verdict.passed:
             return ContinuationResult(members, failed_at=R, reason="verification failed: " + "; ".join(verdict.failures))
         members.append(FamilyMember(R, choreo, planar_limit_diff(choreo, reference)))

@@ -1,12 +1,15 @@
 """Two-phase minimization of the discretized action.
 
 Phase 1 runs BFGS with the exact gradient on a moderate number of
-coefficients until the relative gradient norm reaches a few digits, or
-until it stalls: 100 iterations without a smaller relative gradient,
-over which the value fell by at most 1e-8 relative.
-Phase 2 pads the coefficient vector (typically doubling the bandwidth)
-and runs Newton's method with the exact Hessian, which converges
-quadratically to near machine precision in a handful of steps.
+coefficients until the relative gradient norm reaches _BFGS_TOLERANCE
+(1e-7), for at most _BFGS_MAX_ITERATIONS (500) iterations, or until it
+stalls: 100 iterations without a smaller relative gradient, over which
+the value fell by at most 1e-8 relative.  Phase 2 pads the coefficient
+vector (typically doubling the bandwidth) and runs Newton's method with
+the exact Hessian, which converges quadratically to near machine
+precision in a handful of steps: at most _NEWTON_MAX_STEPS (10), to
+_NEWTON_TOLERANCE (1e-13).  These stopping rules are module constants,
+read at call time.
 
 Because the action is invariant under rotations of the disk and time
 shifts of the path (and under boosts for some configurations), its
@@ -25,8 +28,8 @@ below minus the floor.
 
 Newton stops when the relative gradient norm reaches the tolerance or
 the rounding floor that float64 coefficients put under it, estimated
-from each assembled Hessian; at that floor the gradient is noise, so it
-counts as convergence and not as divergence.  Its gradients are the
+from the last assembled Hessian; at that floor the gradient is noise, so
+it counts as convergence and not as divergence.  Its gradients are the
 long-double ones, which action.evaluate keeps for the latest point, so
 the verification right after a solve reads the last one again without
 computing it.
@@ -49,7 +52,6 @@ from .trigpath import TrigPath, _fit_bandwidth, pack_vars, unpack_vars
 from .verify import PhaseRecord, SolveReport, coefficient_decay, path_residual
 
 __all__ = [
-    "Phase1Options",
     "Phase2Options",
     "PhaseResult",
     "Choreography",
@@ -62,6 +64,13 @@ __all__ = [
     "solve",
 ]
 
+
+# Stopping rules: iteration caps and relative gradient tolerances of
+# Phase 1 (BFGS) and Phase 2 (Newton).
+_BFGS_MAX_ITERATIONS = 500
+_BFGS_TOLERANCE = 1e-7
+_NEWTON_MAX_STEPS = 10
+_NEWTON_TOLERANCE = 1e-13
 
 # Armijo backtracking of Phase 1: sufficient-decrease constant, step
 # reduction per trial, and trials per line search.
@@ -108,41 +117,17 @@ class _Unconverged(SolveFailure):
     """Phase 2 stopped short without failing; only `hypchoreo search` keeps its orbit."""
 
 
-def _check_controls(max_iterations: int, gradient_tolerance: float) -> None:
-    """Reject a negative iteration cap and a tolerance that is not positive (NaN too)."""
-    if not gradient_tolerance > 0.0:
-        raise ValueError("tolerances must be positive")
-    if max_iterations < 0:
-        raise ValueError("iteration caps must not be negative")
-
-
-@dataclass(frozen=True)
-class Phase1Options:
-    """BFGS controls: iteration cap and relative gradient tolerance."""
-
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-7
-
-    def __post_init__(self):
-        _check_controls(self.max_iterations, self.gradient_tolerance)
-
-
 @dataclass(frozen=True)
 class Phase2Options:
-    """Newton controls; K2 is the padded bandwidth, an integer >= 1 (None means 2 K1).
+    """Phase 2's padded bandwidth K2, an integer >= 1 (None means 2 K1).
 
-    The iteration converges when the relative gradient norm reaches
-    gradient_tolerance or, when that lies below what float64 coefficients
-    can resolve, the rounding floor eps || |H| |x| || / ||x|| of the
-    current iterate; max_iterations caps the Newton steps.
+    Newton's stopping rules are the module constants _NEWTON_MAX_STEPS
+    and _NEWTON_TOLERANCE (see phase2_newton).
     """
 
-    max_iterations: int = 10
-    gradient_tolerance: float = 1e-13
     K2: int | None = None
 
     def __post_init__(self):
-        _check_controls(self.max_iterations, self.gradient_tolerance)
         if self.K2 is not None:
             _check_integer("K2", self.K2)
             if self.K2 < 1:
@@ -217,8 +202,9 @@ def _bfgs_update(Hinv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float, work
     Hinv += product
 
 
-def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseResult:
-    """Dense inverse-BFGS with Armijo backtracking.
+def minimize_bfgs(fun, grad, x0) -> PhaseResult:
+    """Dense inverse-BFGS with Armijo backtracking, to _BFGS_TOLERANCE in
+    at most _BFGS_MAX_ITERATIONS iterations.
 
     fun may return +inf to mark infeasible points; such trial steps are
     backtracked past.  Where both the decrease Armijo asks for and the
@@ -244,7 +230,6 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     feasible decrease (the only one that sets failed).
     """
     t0 = time.perf_counter()
-    opts = options if options is not None else Phase1Options()
     x = np.array(x0, dtype=float)
     f = float(fun(x))
     if not math.isfinite(f):
@@ -261,9 +246,9 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
 
     iteration = 0
     message = ""
-    while iteration < opts.max_iterations:
+    while iteration < _BFGS_MAX_ITERATIONS:
         grel = gnorms[-1]
-        if grel <= opts.gradient_tolerance:
+        if grel <= _BFGS_TOLERANCE:
             break
 
         p = Hinv @ g
@@ -339,12 +324,12 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
             break
 
     grel = gnorms[-1]
-    converged = grel <= opts.gradient_tolerance
+    converged = grel <= _BFGS_TOLERANCE
     if converged:
-        message = f"converged at tolerance {opts.gradient_tolerance:.1e}"
+        message = f"converged at tolerance {_BFGS_TOLERANCE:.1e}"
     elif not message:
         message = (
-            f"iteration limit {opts.max_iterations} reached at relative gradient {grel:.2e};"
+            f"iteration limit {_BFGS_MAX_ITERATIONS} reached at relative gradient {grel:.2e};"
             f" smallest {gnorms[best]:.2e} at iteration {best}"
         )
     return PhaseResult(
@@ -353,13 +338,12 @@ def minimize_bfgs(fun, grad, x0, options: Phase1Options | None = None) -> PhaseR
     )
 
 
-def phase1_bfgs(x0, config: Configuration, options: Phase1Options | None = None) -> PhaseResult:
+def phase1_bfgs(x0, config: Configuration) -> PhaseResult:
     """BFGS on the action at the configuration's own bandwidth."""
     return minimize_bfgs(
         lambda x: evaluate(x, config, order=0).value,
         lambda x: evaluate(x, config, order=1).gradient,
         x0,
-        options,
     )
 
 
@@ -417,24 +401,25 @@ def _newton_step(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, int]:
     return -vecs @ ((vecs.T @ g) / lam_eff), int(np.count_nonzero(lam < -lam_floor))
 
 
-def phase2_newton(x0, config: Configuration, options: Phase2Options | None = None) -> PhaseResult:
+def phase2_newton(x0, config: Configuration) -> PhaseResult:
     """Regularized Newton iteration with the exact Hessian and a floor-aware stop.
 
     Rounding x to float64 alone moves the gradient by about eps |H| |x|,
     so each Hessian the iteration assembles also gives the rounding floor
     of the relative gradient, eps || |H| |x| || / ||x|| with eps the
-    machine epsilon.  The iteration converges when the relative gradient
-    reaches options.gradient_tolerance or, failing that, the floor; below
-    the floor it is rounding noise, so only growth above the floor counts
-    toward divergence.  A relative gradient that grows above the floor on
-    two consecutive steps stops the run as failed, as does a step that
-    finds no feasible decrease; both return the best iterate seen.  The
-    message of the result names the verdict, and the steps that met
-    negative curvature when there were any; iterations counts the Newton
-    steps taken.
+    machine epsilon.  Each iterate converges when its relative gradient
+    reaches _NEWTON_TOLERANCE or, failing that, the floor of the last
+    Hessian; only an iterate that must step assembles a new Hessian, and
+    is judged against its floor too.  Below the floor the gradient is
+    rounding noise, so only growth above the floor counts toward
+    divergence.  A relative gradient that grows above the floor on two
+    consecutive steps stops the run as failed, as does a step that finds
+    no feasible decrease; both return the best iterate seen.  The run
+    stops after _NEWTON_MAX_STEPS steps.  The message of the result names
+    the verdict, and the steps that met negative curvature when there
+    were any; iterations counts the Newton steps taken.
     """
     t0 = time.perf_counter()
-    opts = options if options is not None else Phase2Options()
     x = np.array(x0, dtype=float)
     f = float(action_value(x, config))
     if not math.isfinite(f):
@@ -444,7 +429,7 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
     values = [f]
     gnorms = [grel]
     best = (grel, x.copy(), f)
-    floor = 0.0
+    floor = 0.0  # until the first Hessian
     growth_streak = 0
     indices: list[int] = []
 
@@ -460,10 +445,13 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
             values=values, gradient_norms=gnorms, curvature_indices=indices,
         )
 
-    at_tolerance = f"converged at tolerance {opts.gradient_tolerance:.1e}"
-    for iteration in range(opts.max_iterations):
-        if grel <= opts.gradient_tolerance:
-            return result(x, f, grel, iteration, True, at_tolerance)
+    for iteration in range(_NEWTON_MAX_STEPS + 1):
+        if grel <= _NEWTON_TOLERANCE:
+            return result(x, f, grel, iteration, True, f"converged at tolerance {_NEWTON_TOLERANCE:.1e}")
+        if grel <= floor:
+            return result(x, f, grel, iteration, True, f"converged at the rounding floor {floor:.2e}")
+        if iteration == _NEWTON_MAX_STEPS:
+            break
 
         H = evaluate(x, config, order=2).hessian
         floor = np.finfo(float).eps * float(np.linalg.norm(np.abs(H) @ np.abs(x))) / float(np.linalg.norm(x))
@@ -507,17 +495,11 @@ def phase2_newton(x0, config: Configuration, options: Phase2Options | None = Non
                 "the gradient norm grew on two consecutive Newton steps", failed=True,
             )
 
-    # The last iterate is judged against the floor of the last Hessian.
-    steps = opts.max_iterations
-    if grel <= opts.gradient_tolerance:
-        return result(x, f, grel, steps, True, at_tolerance)
-    if steps == 0:
+    if _NEWTON_MAX_STEPS == 0:
         return result(x, f, grel, 0, False, "iteration limit reached before any Newton step; no Hessian gave a rounding floor")
-    if grel <= floor:
-        return result(x, f, grel, steps, True, f"converged at the rounding floor {floor:.2e}")
     if best[0] < grel:
         grel, x, f = best
-    return result(x, f, grel, steps, False, f"iteration limit reached above the rounding floor {floor:.2e}")
+    return result(x, f, grel, _NEWTON_MAX_STEPS, False, f"iteration limit reached above the rounding floor {floor:.2e}")
 
 
 def random_seed(config: Configuration, modes: int = 5, rng_seed: int = 0) -> TrigPath:
@@ -566,12 +548,7 @@ def _phase_record(result: PhaseResult, path: TrigPath, config: Configuration) ->
     )
 
 
-def solve(
-    config: Configuration,
-    seed: TrigPath,
-    options1: Phase1Options | None = None,
-    options2: Phase2Options | None = None,
-) -> Choreography:
+def solve(config: Configuration, seed: TrigPath, options2: Phase2Options | None = None) -> Choreography:
     """Run the full two-phase pipeline from a feasible seed.
 
     Phase 1 works at the configuration's bandwidth K; Phase 2 pads to
@@ -584,7 +561,7 @@ def solve(
     if seed.K > config.K:
         raise ValueError("seed bandwidth exceeds the configuration bandwidth")
 
-    result1 = phase1_bfgs(pack_vars(seed.pad(config.K)), config, options1)
+    result1 = phase1_bfgs(pack_vars(seed.pad(config.K)), config)
     return _solve_from_phase1(config, result1, options2)
 
 
@@ -618,11 +595,10 @@ def _solve_phase2(
     an infeasible start (record1 alone) or a failed run, `_Unconverged`
     ("phase 2 did not converge: ...") for one that stopped short.
     """
-    opts2 = options2 if options2 is not None else Phase2Options()
-    config2 = _phase2_config(config, opts2)
+    config2 = _phase2_config(config, options2)
     start = _fit_bandwidth(start, config2.K)
     try:
-        result2 = phase2_newton(pack_vars(start), config2, opts2)
+        result2 = phase2_newton(pack_vars(start), config2)
     except InfeasibleSeedError as exc:
         raise SolveFailure(f"phase 2 failed: {exc}", Choreography(config2, start, SolveReport(phase1=record1))) from None
     path2 = unpack_vars(result2.x)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .action import CollisionError, Configuration, _NodeState, evaluate
+from .action import CollisionError, Configuration, _NodeState, _state_and_value, evaluate
 from .trigpath import TrigPath, nodes, pack_vars
 
 __all__ = [
@@ -123,12 +123,13 @@ def gradient_rel_norm(path: TrigPath, config: Configuration) -> float:
     """Action gradient 2-norm relative to the 2-norm of the variables.
 
     Uses the extended-precision gradient assembly: converged solutions sit
-    below the rounding floor of the fast double-precision gradient.
+    below the rounding floor of the fast double-precision gradient.  Raises
+    OutOfDiskError and CollisionError on the action's own tests.
     """
     x = pack_vars(path)
     result = evaluate(x, config, order=1, precise=True)
     if not math.isfinite(result.value):
-        raise CollisionError("infeasible path: action is not finite")
+        _state_and_value(x.tobytes(), config)[0].check()
     return float(np.linalg.norm(result.gradient)) / float(np.linalg.norm(x))
 
 
@@ -191,11 +192,11 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
     )
 
 
-def extrinsic_residual(choreo, oversample: int = 4) -> float:
+def extrinsic_residual(choreo) -> float:
     """Residual of the equations of motion on the hyperboloid sheet.
 
     Lifts the disk trajectory of body 0 to the sheet, interpolates the
-    three extrinsic components on an oversampled grid, and evaluates
+    three extrinsic components on a 4x oversampled grid, and evaluates
 
         X'' - (X'.X')X/R^2 - sum_i (R^3 X_i + R (X_i.X_j) X_j) / ((X_i.X_j)^2 - R^4)^(3/2)
 
@@ -211,7 +212,7 @@ def extrinsic_residual(choreo, oversample: int = 4) -> float:
         raise ValueError("extrinsic residual requires a non-rotating frame")
 
     R = config.R
-    N = oversample * (2 * path.K + 1) + 1
+    N = 4 * (2 * path.K + 1) + 1
     t = nodes(N)
     lifts = [geometry.lift_coords(path.eval(t + 2.0 * np.pi * j / config.n), R) for j in range(config.n)]
     X0 = lifts[0]

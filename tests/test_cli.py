@@ -10,7 +10,7 @@ import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +19,10 @@ import pytest
 from hypchoreo import cli, optimizer
 from hypchoreo.action import Configuration, action_value
 from hypchoreo.cli import main
-from hypchoreo.optimizer import Choreography, InfeasibleSeedError, Phase1Options, PhaseResult, phase1_bfgs, random_seed
+from hypchoreo.optimizer import Choreography, InfeasibleSeedError, PhaseResult, phase1_bfgs, random_seed
 from hypchoreo.solutions import load_solution, save_solution
 from hypchoreo.trigpath import TrigPath, pack_vars
-from hypchoreo.verify import SolveReport
+from hypchoreo.verify import SolveReport, VerificationThresholds
 from test_perfbench import load as load_perfbench
 
 
@@ -30,18 +30,18 @@ def write_seed(path, coeffs, config):
     save_solution(path, Choreography(config=config, path=TrigPath(coeffs), report=SolveReport()))
 
 
-def diverging(x0, config, options=None):
+def diverging(x0, config):
     """A Phase 2 that fails at its start."""
     x = np.array(x0, dtype=float)
     return PhaseResult(x, action_value(x, config), 1.0, 2, False, failed=True, message="diverged")
 
 
-def infeasible_start(x0, config, options=None):
+def infeasible_start(x0, config):
     """A Phase 2 whose start is infeasible."""
     raise InfeasibleSeedError("starting point is infeasible")
 
 
-def stalling(x0, config, options=None):
+def stalling(x0, config):
     """A Phase 2 that stops at its cap above the floor, without failing."""
     x = np.array(x0, dtype=float)
     return PhaseResult(
@@ -52,7 +52,7 @@ def stalling(x0, config, options=None):
 
 # Stubs for `search`'s Phase 1 stay at module level: the trials run in
 # spawned worker processes, which import them by name.
-def at_seed(x0, config, options=None):
+def at_seed(x0, config):
     """A Phase 1 that "converges" at its start."""
     x = np.array(x0, dtype=float)
     return PhaseResult(x, action_value(x, config), 0.0, 0, True)
@@ -61,7 +61,7 @@ def at_seed(x0, config, options=None):
 CALL_LOG = "HYPCHOREO_TEST_CALL_LOG"
 
 
-def failing_slowly(x0, config, options=None):
+def failing_slowly(x0, config):
     """A Phase 1 that logs its call to the file named by $HYPCHOREO_TEST_CALL_LOG,
     then raises after 0.2 s."""
     with open(os.environ[CALL_LOG], "a") as log:
@@ -70,7 +70,7 @@ def failing_slowly(x0, config, options=None):
     raise RuntimeError("phase 1 broke")
 
 
-def stamping_pid(x0, config, options=None):
+def stamping_pid(x0, config):
     """A Phase 1 that logs its call like failing_slowly, then "converges" at
     its start after 0.05 s, with the id of the process that ran it as its
     message.  The sleep lets the pool hand the worker its first trials
@@ -82,13 +82,13 @@ def stamping_pid(x0, config, options=None):
     return PhaseResult(x, 0.0, 0.0, 0, True, message=str(os.getpid()))
 
 
-def failing_by_start(x0, config, options=None):
+def failing_by_start(x0, config):
     """A Phase 1 that raises after 0.1 s, naming its start by its first entry."""
     time.sleep(0.1)
     raise RuntimeError(f"start {x0[0]:g} broke")
 
 
-def exiting_in_worker(x0, config, options=None):
+def exiting_in_worker(x0, config):
     """A Phase 1 that logs the id of the worker process it runs in and ends
     that process; it must never run in the calling process."""
     assert multiprocessing.parent_process() is not None, "a trial ran in the calling process"
@@ -97,7 +97,7 @@ def exiting_in_worker(x0, config, options=None):
     os._exit(1)
 
 
-def first_fails_others_sleep(x0, config, options=None):
+def first_fails_others_sleep(x0, config):
     """A Phase 1 that raises after 0.1 s on the start whose first entry is
     0; on any other start it sleeps 0.3 s, then logs the time it ends."""
     if x0[0] == 0.0:
@@ -110,9 +110,9 @@ def first_fails_others_sleep(x0, config, options=None):
     return PhaseResult(x, 0.0, 0.0, 0, True)
 
 
-def stamped_bfgs(x0, config, options=None):
+def stamped_bfgs(x0, config):
     """phase1_bfgs, with the id of the process that ran it after its message."""
-    result = phase1_bfgs(x0, config, options)
+    result = phase1_bfgs(x0, config)
     return replace(result, message=f"{result.message}|{os.getpid()}")
 
 
@@ -266,6 +266,21 @@ class TestVerify:
         assert code == 2
         assert out.strip().endswith("FAIL")
 
+    def test_off_disk_path_names_the_disk(self, tmp_path, capsys):
+        # Both unavailable measures give the action's own verdict.
+        off_disk = tmp_path / "off_disk.json"
+        write_seed(off_disk, np.array([0, 0, 0, 1.5001, 0], dtype=complex), Configuration(n=2, R=1.5, K=2))
+        code = main(["verify", str(off_disk)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "note: gradient unavailable: trajectory leaves the disk\n" in out
+        assert "note: residual unavailable: trajectory leaves the disk\n" in out
+
+    def test_default_thresholds_are_the_verification_bounds(self):
+        args = cli._build_parser().parse_args(["verify", "orbit.json"])
+        bounds = (args.decay_threshold, args.gradient_threshold, args.residual_threshold)
+        assert bounds == astuple(VerificationThresholds())
+
     def test_custom_thresholds(self, circle_solution, capsys):
         code = main(["verify", str(circle_solution), "--residual-threshold", "1e-30"])
         assert code == 2
@@ -359,8 +374,8 @@ class TestSweep:
         # written, and stderr names where and why the sweep stopped.
         newton = optimizer.phase2_newton
 
-        def failing_at_20(x0, config, options=None):
-            return (diverging if config.R == 20.0 else newton)(x0, config, options)
+        def failing_at_20(x0, config):
+            return (diverging if config.R == 20.0 else newton)(x0, config)
 
         monkeypatch.setattr(optimizer, "phase2_newton", failing_at_20)
         code = main(["sweep", "--family", str(circle_solution), "--R-list", "40,20,10", "--K2", "8"])
@@ -373,8 +388,8 @@ class TestSweep:
 
     def test_flat_solve_needs_more_than_ten_newton_steps(self, capsys, monkeypatch):
         # The doubled five_body_c orbit (R = 1.2) is the bundled start
-        # farthest from its flat orbit: Newton takes 13 steps there, with
-        # no Phase 1.
+        # farthest from its flat orbit: Newton takes 8 steps there, within
+        # its cap of 10, with no Phase 1.
         def no_phase1(*args, **kwargs):
             raise AssertionError("sweep ran Phase 1")
 
@@ -522,7 +537,9 @@ class TestSearch:
             monkeypatch.setattr(cli, "random_seed", no_seed)
             expected = "infeasible seed: no feasible random seed found in 100 draws"
         elif reason == "phase1":
-            monkeypatch.setattr(cli, "Phase1Options", lambda: Phase1Options(max_iterations=1))
+            # One usable CPU: spawned workers would import the unpatched cap.
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            monkeypatch.setattr(optimizer, "_BFGS_MAX_ITERATIONS", 1)
             expected = "phase 1 iteration limit 1 reached at relative gradient "
         else:
             # Phase 1 "converges" at each (distinct) seed, and Phase 2 fails.
@@ -574,10 +591,10 @@ class TestSearch:
         # Phase 1 in a worker process gives the in-process result bit for bit.
         config = Configuration(n=3, R=1.5, K=6)
         starts = [pack_vars(random_seed(config, modes=3, rng_seed=seed)) for seed in range(3)]
-        pooled = cli._phase1_trials(starts, config, Phase1Options())
+        pooled = cli._phase1_trials(starts, config)
         assert len(pooled) == len(starts)
         for x0, result in zip(starts, pooled):
-            local = phase1_bfgs(x0, config, Phase1Options())
+            local = phase1_bfgs(x0, config)
             assert result.seconds > 0.0
             assert result.x.dtype == local.x.dtype and result.x.tobytes() == local.x.tobytes()
             for field in fields(PhaseResult):
@@ -617,10 +634,10 @@ class TestSearch:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         config = Configuration(n=3, R=1.5, K=6)
         starts = [pack_vars(random_seed(config, modes=3, rng_seed=seed)) for seed in range(3)]
-        results = cli._phase1_trials(starts, config, Phase1Options())
+        results = cli._phase1_trials(starts, config)
         assert len(results) == len(starts)
         for x0, result in zip(starts, results):
-            local = phase1_bfgs(x0, config, Phase1Options())
+            local = phase1_bfgs(x0, config)
             assert result.x.dtype == local.x.dtype and result.x.tobytes() == local.x.tobytes()
             for field in fields(PhaseResult):
                 if field.name not in ("x", "seconds"):
@@ -634,7 +651,7 @@ class TestSearch:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(cli, "phase1_bfgs", stamping_pid)
         starts = [np.full(3, float(trial)) for trial in range(8)]
-        results = cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+        results = cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4))
         assert [result.x.tolist() for result in results] == [x0.tolist() for x0 in starts]
         pids = {int(result.message) for result in results}
         assert os.getpid() not in pids and 1 <= len(pids) <= 2
@@ -692,12 +709,12 @@ class TestSearch:
         monkeypatch.setattr(cli, "phase1_bfgs", stamped_bfgs)
         config = Configuration(n=3, R=1.5, K=6)
         starts = [pack_vars(random_seed(config, modes=3, rng_seed=seed)) for seed in range(4)]
-        calls = [cli._phase1_trials(starts, config, Phase1Options()) for _ in range(2)]
+        calls = [cli._phase1_trials(starts, config) for _ in range(2)]
         pids = [{int(result.message.rsplit("|", 1)[1]) for result in results} for results in calls]
         assert pids[0] == pids[1] and os.getpid() not in pids[0] and 1 <= len(pids[0]) <= 2
         for results in calls:
             for x0, result in zip(starts, results):
-                local = phase1_bfgs(x0, config, Phase1Options())
+                local = phase1_bfgs(x0, config)
                 assert result.x.dtype == local.x.dtype and result.x.tobytes() == local.x.tobytes()
                 assert result.message.rsplit("|", 1)[0] == local.message
                 for field in fields(PhaseResult):
@@ -714,11 +731,11 @@ class TestSearch:
         config = Configuration(n=2, R=1.5, K=4)
         monkeypatch.setattr(cli, "phase1_bfgs", exiting_in_worker)
         with pytest.raises(BrokenProcessPool):
-            cli._phase1_trials(starts, config, Phase1Options())
+            cli._phase1_trials(starts, config)
         dead = {int(line) for line in log.read_text().splitlines() if line != "call"}
         assert 1 <= len(dead) <= 2
         monkeypatch.setattr(cli, "phase1_bfgs", stamping_pid)
-        results = cli._phase1_trials(starts, config, Phase1Options())
+        results = cli._phase1_trials(starts, config)
         assert [result.x.tolist() for result in results] == [x0.tolist() for x0 in starts]
         pids = {int(result.message) for result in results}
         assert os.getpid() not in pids and 1 <= len(pids) <= 2 and not pids & dead
@@ -732,12 +749,12 @@ class TestSearch:
         monkeypatch.setattr(cli, "phase1_bfgs", stamping_pid)
         starts = [np.full(3, float(trial)) for trial in range(8)]
         config = Configuration(n=2, R=1.5, K=4)
-        killed = {int(result.message) for result in cli._phase1_trials(starts, config, Phase1Options())}
+        killed = {int(result.message) for result in cli._phase1_trials(starts, config)}
         for pid in killed:
             os.kill(pid, signal.SIGKILL)
         with pytest.raises(BrokenProcessPool):  # the pool has seen the deaths
             cli._pool.submit(os.getpid).result(timeout=60)
-        results = cli._phase1_trials(starts, config, Phase1Options())
+        results = cli._phase1_trials(starts, config)
         assert [result.x.tolist() for result in results] == [x0.tolist() for x0 in starts]
         pids = {int(result.message) for result in results}
         assert os.getpid() not in pids and not pids & killed
@@ -752,7 +769,7 @@ class TestSearch:
         workers = []
         for cpus in ({0, 1}, {0, 1, 2}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            results = cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+            results = cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4))
             workers.append({int(result.message) for result in results} - {os.getpid()})
         assert workers[0] and workers[1] and not workers[0] & workers[1]
         for pid in workers[0]:
@@ -810,7 +827,7 @@ class TestSearch:
         monkeypatch.setattr(cli, "phase1_bfgs", failing_by_start)
         starts = [np.full(3, float(trial)) for trial in range(8)]
         with pytest.raises(RuntimeError, match="^start 0 broke$"):
-            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4))
 
     def test_failed_call_waits_for_held_trials(self, tmp_path, monkeypatch):
         # Trial 0 fails in one of two workers while the others run; the
@@ -822,7 +839,7 @@ class TestSearch:
         monkeypatch.setattr(cli, "phase1_bfgs", first_fails_others_sleep)
         starts = [np.full(3, float(trial)) for trial in range(8)]
         with pytest.raises(RuntimeError, match="^start 0 broke$"):
-            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4))
         raised = time.time()
         time.sleep(1.0)  # long enough for any trial still running to log its end
         ends = [float(line) for line in log.read_text().splitlines()]
@@ -845,7 +862,7 @@ class TestSearch:
         monkeypatch.setattr(cli, "wait", interrupted)
         starts = [np.full(3, float(trial)) for trial in range(1, 9)]
         with pytest.raises(KeyboardInterrupt):
-            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options())
+            cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4))
         assert len(waits) == 1
 
     def test_claims_hold_under_fast_thread_switching(self, tmp_path, monkeypatch):
@@ -860,7 +877,7 @@ class TestSearch:
         results = []
 
         def trials():
-            results.extend(cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4), Phase1Options()))
+            results.extend(cli._phase1_trials(starts, Configuration(n=2, R=1.5, K=4)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -25,7 +25,7 @@ from hypchoreo.continuation import (
 from hypchoreo.optimizer import Choreography, Phase2Options, SolveFailure, solve
 from hypchoreo.solutions import load_bundled
 from hypchoreo.trigpath import TrigPath, pack_vars
-from hypchoreo.verify import SolveReport, VerificationThresholds
+from hypchoreo.verify import SolveReport, VerificationThresholds, verify_all
 
 
 def critical_circle_radius(n, R, speed=1.0):
@@ -103,7 +103,7 @@ class TestSolvePlanar:
         assert choreo.report.phase2.converged
         assert choreo.action == pytest.approx(planar_two_body.action, rel=1e-12)
 
-    def test_unconverged_newton_raises_with_the_orbit(self):
+    def test_unconverged_newton_raises_with_the_orbit(self, monkeypatch):
         # One Newton step from the omega = 2.8 circle, 10% off its radius
         # and with a 5% harmonic beside it, does not reach the tolerance:
         # the scaling of the start puts only the radius right.
@@ -113,8 +113,9 @@ class TestSolvePlanar:
         c[K + k] = 1.1 * r
         c[K + k + 1] = 0.05 * r
         config = Configuration(n=5, R=math.inf, K=K, omega=omega)
+        monkeypatch.setattr(hypchoreo.optimizer, "_NEWTON_MAX_STEPS", 1)
         with pytest.raises(SolveFailure) as info:
-            solve_planar(config, TrigPath(c), Phase2Options(max_iterations=1))
+            solve_planar(config, TrigPath(c))
         message = str(info.value)
         assert message.startswith("phase 2 did not converge: relative gradient ")
         assert message.endswith(" after 1 Newton steps")
@@ -292,10 +293,11 @@ class TestContinueInR:
         rate = convergence_rate(swept_family.members)
         assert rate == pytest.approx(-2.0, abs=0.1)
 
-    def test_verification_failure_stops_sweep(self, planar_two_body):
+    def test_verification_failure_stops_sweep(self, planar_two_body, monkeypatch):
         family_config = Configuration(n=2, R=50.0, K=4)
         impossible = VerificationThresholds(decay=1e-300, gradient=1e-300, residual=1e-300)
-        out = continue_in_R(family_config, [50.0, 20.0], planar_two_body, thresholds=impossible)
+        monkeypatch.setattr(hypchoreo.continuation, "verify_all", lambda choreo: verify_all(choreo, impossible))
+        out = continue_in_R(family_config, [50.0, 20.0], planar_two_body)
         assert not out.complete
         assert out.failed_at == 50.0
         assert out.reason.startswith("verification failed: coefficient decay ")
@@ -324,12 +326,13 @@ class TestContinueInR:
             assert member.choreo.config.K == member.choreo.path.K == K2
             assert member.choreo.action == pytest.approx(stepwise.choreo.action, rel=1e-12)
 
-    def test_unconverged_newton_stops_sweep(self, planar_two_body):
+    def test_unconverged_newton_stops_sweep(self, planar_two_body, monkeypatch):
         # At R = 1e8 the flat orbit divided by sigma already meets the
         # Newton tolerance, so it converges in zero steps; R = 5 needs
-        # steps that max_iterations=0 does not allow.
+        # steps that a cap of 0 does not allow.
         family_config = Configuration(n=2, R=1e8, K=4)
-        out = continue_in_R(family_config, [1e8, 5.0], planar_two_body, Phase2Options(max_iterations=0))
+        monkeypatch.setattr(hypchoreo.optimizer, "_NEWTON_MAX_STEPS", 0)
+        out = continue_in_R(family_config, [1e8, 5.0], planar_two_body)
         assert out.failed_at == 5.0
         assert out.reason.startswith("phase 2 did not converge: relative gradient ")
         assert out.reason.endswith(" after 0 Newton steps")

@@ -13,7 +13,6 @@ from hypchoreo.optimizer import (
     _EIGENVALUE_FLOOR,
     Choreography,
     InfeasibleSeedError,
-    Phase1Options,
     Phase2Options,
     PhaseResult,
     SolveFailure,
@@ -72,7 +71,7 @@ def best_circle(config):
 
 
 class TestMinimizeBfgs:
-    def test_convex_quadratic(self):
+    def test_convex_quadratic(self, monkeypatch):
         rng = np.random.default_rng(7)
         A = rng.standard_normal((8, 8))
         A = A @ A.T + 8.0 * np.eye(8)
@@ -80,12 +79,13 @@ class TestMinimizeBfgs:
         x_star = np.linalg.solve(A, b)
         fun = lambda x: 0.5 * x @ A @ x - b @ x
         grad = lambda x: A @ x - b
-        out = minimize_bfgs(fun, grad, np.zeros(8), Phase1Options(gradient_tolerance=1e-10))
+        monkeypatch.setattr(optimizer, "_BFGS_TOLERANCE", 1e-10)
+        out = minimize_bfgs(fun, grad, np.zeros(8))
         assert out.converged and not out.failed
         assert out.message == "converged at tolerance 1.0e-10"
         assert np.linalg.norm(out.x - x_star) <= 1e-7 * np.linalg.norm(x_star)
 
-    def test_rosenbrock(self):
+    def test_rosenbrock(self, monkeypatch):
         fun = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
         grad = lambda x: np.array(
             [
@@ -93,7 +93,9 @@ class TestMinimizeBfgs:
                 200 * (x[1] - x[0] ** 2),
             ]
         )
-        out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]), Phase1Options(max_iterations=300, gradient_tolerance=1e-10))
+        monkeypatch.setattr(optimizer, "_BFGS_MAX_ITERATIONS", 300)
+        monkeypatch.setattr(optimizer, "_BFGS_TOLERANCE", 1e-10)
+        out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]))
         assert out.converged
         assert np.allclose(out.x, [1.0, 1.0], atol=1e-6)
 
@@ -105,7 +107,7 @@ class TestMinimizeBfgs:
         assert np.all(diffs <= 1e-12)
         assert out.values[0] == fun(np.array([2.0, -3.0]))
 
-    def test_backtracks_past_infeasible_region(self):
+    def test_backtracks_past_infeasible_region(self, monkeypatch):
         # +inf trial values behave like any rejected step.
         def fun(x):
             if x[0] > 1.0:
@@ -113,7 +115,8 @@ class TestMinimizeBfgs:
             return (x[0] - 0.9) ** 2
 
         grad = lambda x: np.array([2.0 * (x[0] - 0.9)])
-        out = minimize_bfgs(fun, grad, np.array([-2.0]), Phase1Options(gradient_tolerance=1e-12))
+        monkeypatch.setattr(optimizer, "_BFGS_TOLERANCE", 1e-12)
+        out = minimize_bfgs(fun, grad, np.array([-2.0]))
         assert out.converged
         assert abs(out.x[0] - 0.9) <= 1e-6
 
@@ -149,7 +152,7 @@ class TestMinimizeBfgs:
         assert out.x[0] == 0.0
         assert out.message.startswith("stopped at the rounding floor")
 
-    def test_converges_below_value_resolution(self):
+    def test_converges_below_value_resolution(self, monkeypatch):
         # Near the minimum the decrease of a step is far below what the
         # rounding-noisy values resolve; the slope at the trial decides
         # instead, so the gradient tolerance is still reached.
@@ -159,7 +162,8 @@ class TestMinimizeBfgs:
         c = rng.standard_normal(6)
         fun = lambda x: 1.0 + 0.5 * (x - c) @ A @ (x - c) + 4e-16 * math.sin(1e9 * float(np.sum(x)))
         grad = lambda x: A @ (x - c)
-        out = minimize_bfgs(fun, grad, np.zeros(6), Phase1Options(gradient_tolerance=1e-12))
+        monkeypatch.setattr(optimizer, "_BFGS_TOLERANCE", 1e-12)
+        out = minimize_bfgs(fun, grad, np.zeros(6))
         assert out.converged and not out.failed
         assert np.linalg.norm(out.x - c) <= 1e-11 * np.linalg.norm(c)
 
@@ -183,25 +187,24 @@ class TestMinimizeBfgs:
             Hinv[...] = -np.eye(Hinv.shape[0])
 
         monkeypatch.setattr(optimizer, "_bfgs_update", to_minus_identity)
-        out = minimize_bfgs(fun, grad, np.zeros(2), Phase1Options(gradient_tolerance=1e-8))
+        monkeypatch.setattr(optimizer, "_BFGS_TOLERANCE", 1e-8)
+        out = minimize_bfgs(fun, grad, np.zeros(2))
         assert out.converged and not out.failed
         assert len(updates) == out.iterations >= 2
         assert len(points) == out.iterations + 1
         for before, after in zip(points, points[1:]):
             assert np.array_equal(after, before - grad(before))
 
-    def test_step_too_small_to_move_x(self):
+    def test_step_too_small_to_move_x(self, monkeypatch):
         # The first step, 2e-30, vanishes against x = 1: the run stops
         # with that verdict instead of looping on a zero step.
-        out = minimize_bfgs(
-            lambda x: 1e-30 * float(x @ x), lambda x: 2e-30 * x, np.array([1.0]),
-            Phase1Options(gradient_tolerance=1e-40),
-        )
+        monkeypatch.setattr(optimizer, "_BFGS_TOLERANCE", 1e-40)
+        out = minimize_bfgs(lambda x: 1e-30 * float(x @ x), lambda x: 2e-30 * x, np.array([1.0]))
         assert not out.converged and not out.failed
         assert out.message == "stopped: the accepted step is too small to move x"
         assert out.iterations == 0 and out.x[0] == 1.0
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         fun = lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
         grad = lambda x: np.array(
             [
@@ -209,12 +212,14 @@ class TestMinimizeBfgs:
                 200 * (x[1] - x[0] ** 2),
             ]
         )
-        out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]), Phase1Options(max_iterations=2))
+        monkeypatch.setattr(optimizer, "_BFGS_MAX_ITERATIONS", 2)
+        out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]))
         assert out.iterations == 2 and not out.converged and not out.failed
         assert out.message.startswith("iteration limit 2 reached")
         # The gradient grows after iteration 4: the verdict names the
         # smallest one seen, not the last.
-        out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]), Phase1Options(max_iterations=6))
+        monkeypatch.setattr(optimizer, "_BFGS_MAX_ITERATIONS", 6)
+        out = minimize_bfgs(fun, grad, np.array([-1.2, 1.0]))
         g = out.gradient_norms
         assert min(g) == g[4] < g[6] == out.gradient_rel_norm
         assert out.message == (
@@ -230,7 +235,7 @@ class TestMinimizeBfgs:
         g = out.gradient_norms
         assert not out.converged and not out.failed
         assert out.iterations == 127 == len(g) - 1
-        assert min(g) == g[27] > Phase1Options().gradient_tolerance
+        assert min(g) == g[27] > optimizer._BFGS_TOLERANCE
         assert out.message == (
             f"stalled: smallest relative gradient {g[27]:.2e} at iteration 27, none smaller in 100 iterations"
         )
@@ -238,16 +243,14 @@ class TestMinimizeBfgs:
         assert out.gradient_rel_norm == g[-1]
 
     @pytest.mark.parametrize("offset, stalls", [(0.0, False), (1e12, True)])
-    def test_stall_needs_the_value_to_stop_falling(self, offset, stalls):
+    def test_stall_needs_the_value_to_stop_falling(self, offset, stalls, monkeypatch):
         # f = offset + x from x = 1000: each step is x -> x - 1, so the
         # value falls by 1 per iteration while the relative gradient 1/|x|
         # grows, and the first one stays the smallest.  From iteration 100
         # on only the value decides: 100 over 100 iterations is a fall of
         # 0.1 relative without the offset, and of 1e-10 relative with it.
-        out = minimize_bfgs(
-            lambda x: offset + float(x[0]), lambda x: np.ones(1), np.array([1000.0]),
-            Phase1Options(max_iterations=150),
-        )
+        monkeypatch.setattr(optimizer, "_BFGS_MAX_ITERATIONS", 150)
+        out = minimize_bfgs(lambda x: offset + float(x[0]), lambda x: np.ones(1), np.array([1000.0]))
         g = out.gradient_norms
         assert not out.converged and not out.failed
         assert min(g) == g[0] < g[-1]
@@ -258,16 +261,6 @@ class TestMinimizeBfgs:
         else:
             assert out.iterations == 150
             assert out.message.startswith("iteration limit 150 reached")
-
-    @pytest.mark.parametrize("options", [Phase1Options, Phase2Options])
-    @pytest.mark.parametrize(
-        "bad",
-        [{"gradient_tolerance": 0.0}, {"gradient_tolerance": math.nan}, {"max_iterations": -1}],
-        ids=["zero_tolerance", "nan_tolerance", "negative_cap"],
-    )
-    def test_option_validation(self, bad, options):
-        with pytest.raises(ValueError):
-            options(**bad)
 
     @pytest.mark.parametrize(
         "K2, error",
@@ -436,7 +429,7 @@ class TestSearchTrialVerdicts:
             result = optimizer.phase1_bfgs(pack_vars(random_seed(config, modes=5, rng_seed=trial)), config)
             assert result.converged == (trial not in stalled), trial
             if trial in stalled:
-                assert not result.failed and result.iterations < Phase1Options().max_iterations, trial
+                assert not result.failed and result.iterations < optimizer._BFGS_MAX_ITERATIONS, trial
                 assert result.message.startswith("stalled: smallest relative gradient"), trial
                 assert result.message.endswith(f"at iteration {stalled[trial]}, none smaller in 100 iterations"), trial
             else:
@@ -523,14 +516,15 @@ class TestSolvePlumbing:
         with pytest.raises(InfeasibleSeedError):
             solve(config, TrigPath(c))
 
-    def test_unconverged_phase2_raises_with_the_orbit(self):
+    def test_unconverged_phase2_raises_with_the_orbit(self, monkeypatch):
         # One Newton step from this Phase-1 point stops above the
         # tolerance and the rounding floor without failing: solve raises,
         # with both phases' records and the Phase-2 orbit attached.
         config = Configuration(n=3, R=1.8, K=5)
         seed = random_seed(config, modes=3, rng_seed=2)
+        monkeypatch.setattr(optimizer, "_NEWTON_MAX_STEPS", 1)
         with pytest.raises(SolveFailure) as exc:
-            solve(config, seed, options2=Phase2Options(max_iterations=1))
+            solve(config, seed)
         choreo = exc.value.choreography
         phase2 = choreo.report.phase2
         assert str(exc.value) == (
@@ -538,14 +532,14 @@ class TestSolvePlumbing:
         )
         assert choreo.report.phase1 is not None and choreo.report.phase1.converged
         assert not phase2.converged and phase2.iterations == 1
-        assert phase2.gradient_rel_norm > Phase2Options().gradient_tolerance
+        assert phase2.gradient_rel_norm > optimizer._NEWTON_TOLERANCE
         assert choreo.config.K == choreo.path.K == 2 * config.K
         assert choreo.action == phase2.action
 
     def test_phase1_line_search_failure_raises(self, monkeypatch):
         # A Phase 1 that fails stops the solve before Phase 2, with its
         # record attached.
-        def failing(x0, config, options=None):
+        def failing(x0, config):
             x = np.array(x0, dtype=float)
             return PhaseResult(
                 x, action_value(x, config), 1e-2, 3, False,
@@ -767,28 +761,52 @@ class TestPhase2Newton:
         )
 
     @pytest.mark.parametrize("name", ["figure_eight", "five_body_c", "relative_c"])
-    def test_tolerance_below_rounding_floor(self, name):
+    def test_tolerance_below_rounding_floor(self, name, monkeypatch):
         # A converged orbit cannot reach 1e-16 in float64: its gradient is
         # rounding noise, which must read as convergence, not divergence.
         orbit = load_bundled(name)
-        out = phase2_newton(pack_vars(orbit.path), orbit.config, Phase2Options(gradient_tolerance=1e-16))
+        monkeypatch.setattr(optimizer, "_NEWTON_TOLERANCE", 1e-16)
+        out = phase2_newton(pack_vars(orbit.path), orbit.config)
         assert out.converged and not out.failed
         assert out.iterations <= 1
         assert "rounding floor" in out.message
         assert "negative curvature" not in out.message
 
-    def test_rounding_floor_after_the_last_allowed_step(self):
+    def test_rounding_floor_after_the_last_allowed_step(self, monkeypatch):
         # The one allowed step lands below the floor of the Hessian it was
         # taken with, though not below the 1e-16 tolerance: that is
-        # convergence, judged after the loop.
+        # convergence, though no further step is allowed.
         orbit = load_bundled("figure_eight")
         x0 = pack_vars(orbit.path) * (1.0 + 1e-12)
-        out = phase2_newton(x0, orbit.config, Phase2Options(max_iterations=1, gradient_tolerance=1e-16))
+        monkeypatch.setattr(optimizer, "_NEWTON_MAX_STEPS", 1)
+        monkeypatch.setattr(optimizer, "_NEWTON_TOLERANCE", 1e-16)
+        out = phase2_newton(x0, orbit.config)
         assert out.converged and not out.failed
         assert out.iterations == 1
         assert out.message.startswith("converged at the rounding floor ")
         floor = float(out.message.split()[-1])
         assert out.gradient_norms[0] > floor >= out.gradient_rel_norm == out.gradient_norms[1]
+
+    def test_iterate_below_the_last_floor_assembles_no_hessian(self, monkeypatch):
+        # The same run with a step to spare: the first step lands below the
+        # floor of the Hessian it was taken with, so the iterate converges
+        # on that floor, with no second Hessian assembled to learn it.
+        orbit = load_bundled("figure_eight")
+        x0 = pack_vars(orbit.path) * (1.0 + 1e-12)
+        hessians = []
+
+        def counting(x, config, order, precise=False):
+            if order == 2:
+                hessians.append(x)
+            return evaluate(x, config, order=order, precise=precise)
+
+        monkeypatch.setattr(optimizer, "evaluate", counting)
+        monkeypatch.setattr(optimizer, "_NEWTON_MAX_STEPS", 2)
+        monkeypatch.setattr(optimizer, "_NEWTON_TOLERANCE", 1e-16)
+        out = phase2_newton(x0, orbit.config)
+        assert out.converged and not out.failed
+        assert out.iterations == 1 and len(hessians) == 1
+        assert out.message == "converged at the rounding floor 2.49e-13"
 
     def test_infeasible_start_raises(self):
         config = Configuration(n=2, R=1.5, K=2)
@@ -855,7 +873,8 @@ class TestPhase2Newton:
             return (step if len(steps) == 1 else -step), index
 
         monkeypatch.setattr(optimizer, "_newton_step", then_backwards)
-        out = phase2_newton(x0, config, Phase2Options(max_iterations=2))
+        monkeypatch.setattr(optimizer, "_NEWTON_MAX_STEPS", 2)
+        out = phase2_newton(x0, config)
         assert not out.failed and not out.converged
         assert out.message.startswith("iteration limit reached above the rounding floor ")
         assert out.iterations == 2
@@ -874,7 +893,8 @@ class TestPhase2Newton:
             return evaluate(x, config, order=order, precise=precise)
 
         monkeypatch.setattr(optimizer, "evaluate", no_hessian)
-        out = phase2_newton(x0, config, Phase2Options(max_iterations=0))
+        monkeypatch.setattr(optimizer, "_NEWTON_MAX_STEPS", 0)
+        out = phase2_newton(x0, config)
         assert not out.failed and not out.converged
         assert out.message == "iteration limit reached before any Newton step; no Hessian gave a rounding floor"
         assert out.iterations == 0 and out.curvature_indices == []

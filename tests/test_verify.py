@@ -134,9 +134,10 @@ class TestResidualProperties:
         path = TrigPath(np.array(c, dtype=complex))
         with pytest.raises((CollisionError, OutOfDiskError)) as want:
             pairwise_separations(path, config)
-        with pytest.raises(want.type) as got:
-            path_residual(path, config)
-        assert str(got.value) == str(want.value)
+        for measure in (path_residual, gradient_rel_norm):
+            with pytest.raises(want.type) as got:
+                measure(path, config)
+            assert str(got.value) == str(want.value)
 
     def test_collision_raises(self):
         config = Configuration(n=2, R=1.5, K=2)
