@@ -11,8 +11,6 @@ from .action import (
     ActionEvaluation,
     CollisionError,
     Configuration,
-    action_gradient,
-    action_hessian,
     action_value,
     evaluate,
     hyperboloid_energies,
@@ -30,14 +28,12 @@ from .continuation import (
 )
 from .geometry import (
     GeometryError,
-    HyperboloidPoint,
     OffSheetError,
     OutOfDiskError,
     conformal_factor,
     disk_distance,
     disk_geodesic,
     geodesic_hyperboloid,
-    lift_to_hyperboloid,
     lift_velocity,
     lorentz_inner,
     project_to_disk,
@@ -95,7 +91,6 @@ __all__ = [
     "FORMAT_VERSION",
     "FamilyMember",
     "GeometryError",
-    "HyperboloidPoint",
     "InfeasibleSeedError",
     "MalformedSolutionError",
     "OffSheetError",
@@ -108,8 +103,6 @@ __all__ = [
     "TrigPath",
     "VerificationResult",
     "VerificationThresholds",
-    "action_gradient",
-    "action_hessian",
     "action_value",
     "bundled_names",
     "center_planar",
@@ -123,7 +116,6 @@ __all__ = [
     "extrinsic_residual",
     "geodesic_hyperboloid",
     "hyperboloid_energies",
-    "lift_to_hyperboloid",
     "lift_velocity",
     "load_bundled",
     "load_solution",

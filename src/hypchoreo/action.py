@@ -91,8 +91,6 @@ __all__ = [
     "CollisionError",
     "quadrature_size",
     "action_value",
-    "action_gradient",
-    "action_hessian",
     "evaluate",
     "pairwise_separations",
     "hyperboloid_energies",
@@ -549,16 +547,6 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
 def action_value(x, config: Configuration) -> float:
     """Discretized action; +inf for infeasible coefficient vectors."""
     return evaluate(x, config, order=0).value
-
-
-def action_gradient(x, config: Configuration, precise: bool = False) -> np.ndarray:
-    """Exact gradient of the discretized action in the packed variables."""
-    return evaluate(x, config, order=1, precise=precise).gradient
-
-
-def action_hessian(x, config: Configuration) -> np.ndarray:
-    """Exact, exactly symmetric Hessian of the discretized action."""
-    return evaluate(x, config, order=2).hessian
 
 
 def pairwise_separations(path: TrigPath, config: Configuration) -> np.ndarray:

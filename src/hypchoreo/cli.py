@@ -145,10 +145,8 @@ def _resolve_seed(token: str, config: Configuration, modes: int) -> TrigPath:
 def _write_text(out, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(out).write_text(text)
 
 
 def _f(value) -> str:

@@ -27,7 +27,6 @@ coordinate differences, and acosh(1+u) = log1p(u + sqrt(u(2+u))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +36,9 @@ __all__ = [
     "GeometryError",
     "OutOfDiskError",
     "OffSheetError",
-    "HyperboloidPoint",
     "lorentz_inner",
     "geodesic_hyperboloid",
     "project_to_disk",
-    "lift_to_hyperboloid",
     "lift_coords",
     "lift_velocity",
     "disk_distance",
@@ -53,9 +50,6 @@ __all__ = [
 # Points are accepted up to this relative margin from the disk boundary;
 # beyond it the conformal factor is meaningless in double precision.
 BOUNDARY_MARGIN = 1e-12
-
-# Relative tolerance on the sheet constraint for constructed points.
-_SHEET_TOL = 1e-12
 
 
 class GeometryError(ValueError):
@@ -70,31 +64,7 @@ class OffSheetError(GeometryError):
     """Coordinates too far from the forward hyperboloid sheet."""
 
 
-@dataclass(frozen=True)
-class HyperboloidPoint:
-    """Point on the forward sheet x1^2 + x2^2 - x3^2 = -R^2, x3 > 0."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-    @classmethod
-    def on_sheet(cls, x1: float, x2: float, x3: float, R: float) -> "HyperboloidPoint":
-        """Construct with validation of the sheet constraint."""
-        if x3 <= 0.0:
-            raise OffSheetError("forward sheet requires x3 > 0")
-        defect = abs(x1 * x1 + x2 * x2 - x3 * x3 + R * R)
-        if defect > _SHEET_TOL * R * R * max(1.0, (x3 / R) ** 2):
-            raise OffSheetError(f"sheet constraint violated by {defect:.3e}")
-        return cls(x1, x2, x3)
-
-
 def _coords(X) -> np.ndarray:
-    if isinstance(X, HyperboloidPoint):
-        return X.as_array()
     arr = np.asarray(X, dtype=float)
     if arr.shape[-1] != 3:
         raise ValueError("hyperboloid coordinates must have a trailing axis of length 3")
@@ -159,12 +129,6 @@ def lift_coords(z, R: float) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def lift_to_hyperboloid(z: complex, R: float) -> HyperboloidPoint:
-    """Lift one disk point to the forward sheet."""
-    x1, x2, x3 = lift_coords(complex(z), R)
-    return HyperboloidPoint(float(x1), float(x2), float(x3))
 
 
 def lift_velocity(z, zdot, R: float) -> np.ndarray:

@@ -170,14 +170,19 @@ def save_solution(file_path, choreo: Choreography) -> None:
 
 def load_solution(file_path) -> Choreography:
     """Read one solution file; malformed content raises MalformedSolutionError."""
+    return _read_solution(Path(file_path), file_path)
+
+
+def _read_solution(source, shown) -> Choreography:
+    """Parse the file or package resource source, naming it shown in any MalformedSolutionError."""
     try:
-        text = Path(file_path).read_text()
+        text = source.read_text()
     except OSError as exc:
-        raise MalformedSolutionError(f"cannot read {file_path}: {exc}") from None
+        raise MalformedSolutionError(f"cannot read {shown}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedSolutionError(f"invalid JSON in {file_path}: {exc}") from None
+        raise MalformedSolutionError(f"invalid JSON in {shown}: {exc}") from None
     return solution_from_dict(data)
 
 
@@ -192,12 +197,8 @@ def bundled_names() -> list[str]:
 
 
 def load_bundled(name: str) -> Choreography:
-    """Load a bundled orbit or seed by name (see bundled_names)."""
-    entry = _data_root() / f"{name}.json"
-    try:
-        text = entry.read_text()
-    except (FileNotFoundError, OSError):
-        raise MalformedSolutionError(
-            f"no bundled solution named {name!r}; available: {', '.join(bundled_names())}"
-        ) from None
-    return solution_from_dict(json.loads(text))
+    """Load a bundled orbit or seed by name; any name not in bundled_names is rejected."""
+    names = bundled_names()
+    if name not in names:
+        raise MalformedSolutionError(f"no bundled solution named {name!r}; available: {', '.join(names)}")
+    return _read_solution(_data_root() / f"{name}.json", f"bundled solution {name!r}")

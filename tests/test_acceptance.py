@@ -15,12 +15,11 @@ from hypchoreo import (
     Configuration,
     Phase2Options,
     TrigPath,
-    action_gradient,
-    action_hessian,
     action_value,
     center_planar,
     continue_in_R,
     convergence_rate,
+    evaluate,
     load_bundled,
     random_seed,
     solve,
@@ -152,7 +151,7 @@ def test_criterion_05_derivative_correctness():
             x = pack_vars(random_seed(config, modes=min(5, config.K),
                                       rng_seed=int(rng.integers(1 << 31))))
             x = x + 0.005 * rng.standard_normal(x.size)
-            g = action_gradient(x, config)
+            g = evaluate(x, config, order=1).gradient
             h = 1e-6
             g_fd = np.empty_like(g)
             for i in range(x.size):
@@ -162,15 +161,15 @@ def test_criterion_05_derivative_correctness():
             scale = np.max(np.abs(g))
             assert np.max(np.abs(g_fd - g)) <= 1e-6 * scale
 
-            H = action_hessian(x, config)
+            H = evaluate(x, config, order=2).hessian
             assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
             h2 = 1e-5
             H_fd = np.empty_like(H)
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h2
-                H_fd[:, i] = (action_gradient(x + e, config)
-                              - action_gradient(x - e, config)) / (2 * h2)
+                H_fd[:, i] = (evaluate(x + e, config, order=1).gradient
+                              - evaluate(x - e, config, order=1).gradient) / (2 * h2)
             assert np.max(np.abs(H_fd - H)) <= 1e-5 * np.max(np.abs(H))
 
 

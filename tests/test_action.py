@@ -10,8 +10,6 @@ from hypchoreo.action import (
     COLLISION_THRESHOLD,
     CollisionError,
     Configuration,
-    action_gradient,
-    action_hessian,
     action_value,
     evaluate,
     hyperboloid_energies,
@@ -163,7 +161,7 @@ class TestDerivatives:
         for config in FD_CONFIGS:
             for _ in range(4):
                 x = feasible_point(config, rng)
-                g = action_gradient(x, config)
+                g = evaluate(x, config, order=1).gradient
                 idx = rng.choice(x.size, size=10, replace=False)
                 for i in idx:
                     e = np.zeros(x.size)
@@ -176,12 +174,13 @@ class TestDerivatives:
         h = 1e-6
         for config in FD_CONFIGS:
             x = feasible_point(config, rng)
-            H = action_hessian(x, config)
+            H = evaluate(x, config, order=2).hessian
             idx = rng.choice(x.size, size=6, replace=False)
             for i in idx:
                 e = np.zeros(x.size)
                 e[i] = h
-                fd_col = (action_gradient(x + e, config) - action_gradient(x - e, config)) / (2 * h)
+                plus, minus = (evaluate(x + s * e, config, order=1).gradient for s in (1, -1))
+                fd_col = (plus - minus) / (2 * h)
                 scale = max(1.0, float(np.max(np.abs(fd_col))))
                 assert float(np.max(np.abs(H[:, i] - fd_col))) <= 1e-5 * scale, f"{config}: col {i}"
 
@@ -189,7 +188,7 @@ class TestDerivatives:
         rng = np.random.default_rng(43)
         for config in FD_CONFIGS:
             x = feasible_point(config, rng)
-            H = action_hessian(x, config)
+            H = evaluate(x, config, order=2).hessian
             assert float(np.max(np.abs(H - H.T))) <= 1e-12 * float(np.max(np.abs(H)))
 
     def test_orders_consistent(self):
@@ -207,7 +206,7 @@ class TestDerivatives:
     def test_hessian_matches_pair_by_pair_assembly_bundled(self, name):
         choreo = load_bundled(name)
         x = pack_vars(choreo.path)
-        H = action_hessian(x, choreo.config)
+        H = evaluate(x, choreo.config, order=2).hessian
         assert float(np.max(np.abs(H - pair_by_pair_hessian(x, choreo.config)))) <= 1e-14 * float(np.max(np.abs(H)))
 
     @pytest.mark.parametrize(
@@ -223,7 +222,7 @@ class TestDerivatives:
         rng = np.random.default_rng(46)
         for _ in range(2):
             x = feasible_point(config, rng)
-            H = action_hessian(x, config)
+            H = evaluate(x, config, order=2).hessian
             assert np.all(np.isfinite(H))
             assert float(np.max(np.abs(H - pair_by_pair_hessian(x, config)))) <= 1e-14 * float(np.max(np.abs(H)))
 
@@ -231,8 +230,8 @@ class TestDerivatives:
     def test_precise_gradient_agrees(self, config):
         rng = np.random.default_rng(45)
         x = feasible_point(config, rng)
-        fast = action_gradient(x, config)
-        slow = action_gradient(x, config, precise=True)
+        fast = evaluate(x, config, order=1).gradient
+        slow = evaluate(x, config, order=1, precise=True).gradient
         assert float(np.max(np.abs(fast - slow))) <= 1e-11 * float(np.linalg.norm(fast))
 
     @pytest.mark.skipif(

@@ -20,7 +20,7 @@ from hypchoreo import cli, optimizer
 from hypchoreo.action import Configuration, action_value
 from hypchoreo.cli import main
 from hypchoreo.optimizer import Choreography, InfeasibleSeedError, PhaseResult, phase1_bfgs, random_seed
-from hypchoreo.solutions import load_solution, save_solution
+from hypchoreo.solutions import load_bundled, load_solution, save_solution
 from hypchoreo.trigpath import TrigPath, pack_vars
 from hypchoreo.verify import SolveReport, VerificationThresholds
 from test_perfbench import load as load_perfbench
@@ -155,6 +155,18 @@ class TestSolve:
             ]
         )
         assert code == 0
+
+    def test_rotating_frame_reaches_bundled_orbit(self, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code = main([
+            "solve", "--n", "5", "--R", "2.0", "--K", "27", "--omega", "2.31", "--K2", "81",
+            "--seed", "bundled:relative_c_seed", "--out", str(out),
+        ])
+        assert code == 0
+        choreo = load_solution(out)
+        assert choreo.config.omega == 2.31 and choreo.config.K == 81
+        orbit = load_bundled("relative_c")
+        assert abs(choreo.report.phase2.action - action_value(pack_vars(orbit.path), orbit.config)) <= 5e-5
 
     def test_infeasible_seed_file_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "collided.json"
@@ -305,6 +317,16 @@ class TestVerify:
         code = main(["verify", "bundled:no_such_orbit"])
         assert code == 4
 
+    @pytest.mark.parametrize("valid", [False, True], ids=["invalid", "valid_copy"])
+    def test_bundled_name_outside_the_package_exit_4(self, tmp_path, capsys, valid):
+        if valid:
+            save_solution(tmp_path / "x.json", load_bundled("figure_eight"))
+        else:
+            (tmp_path / "x.json").write_text("{bad")
+        code = main(["verify", "bundled:" + str(tmp_path / "x")])
+        assert code == 4
+        assert "no bundled solution named" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_csv_columns_and_slope(self, circle_solution, tmp_path, capsys):
@@ -432,12 +454,14 @@ class TestSweep:
         ["search", "--n", "2", "--R", "1.5", "--K", "4", "--omega", "nan"],
         ["search", "--n", "2", "--R", "1.5", "--K", "4", "--omega", "inf"],
         ["solve", "--n", "2", "--R", "1e-300", "--K", "2", "--seed", "0"],
+        ["solve", "--n", "2", "--R", "0", "--K", "2", "--seed", "0"],
+        ["solve", "--n", "2", "--R", "-1", "--K", "2", "--seed", "0"],
     ],
     ids=[
         "samples_0", "K2_below_K", "n_1", "modes_0", "search_K_0", "sweep_K2_0", "sweep_has_no_K",
         "search_rng_negative", "search_trials_negative", "seed_negative",
         "solve_omega_nan", "solve_omega_inf", "search_omega_nan", "search_omega_inf",
-        "R_curvature_overflows",
+        "R_curvature_overflows", "R_zero", "R_negative",
     ],
 )
 def test_bad_integer_argument_exit_2(argv, capsys):

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 import hypchoreo
-from hypchoreo.action import Configuration, action_gradient, action_value
+from hypchoreo.action import Configuration, action_value, evaluate
 from hypchoreo.continuation import (
     FamilyMember,
     _fit_bandwidth,
@@ -155,7 +155,7 @@ class TestSolvePlanar:
 
         def ray_slope(path):
             x = pack_vars(path)
-            return float(action_gradient(x, flat_config, precise=True) @ x) / action_value(x, flat_config)
+            return float(evaluate(x, flat_config, order=1, precise=True).gradient @ x) / action_value(x, flat_config)
 
         assert abs(ray_slope(doubled)) > 1e-4
         assert abs(ray_slope(_virial_scaled(doubled, flat_config))) <= 1e-13

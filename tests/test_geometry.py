@@ -8,7 +8,6 @@ import pytest
 from hypchoreo.geometry import (
     BOUNDARY_MARGIN,
     GeometryError,
-    HyperboloidPoint,
     OffSheetError,
     OutOfDiskError,
     conformal_factor,
@@ -16,7 +15,6 @@ from hypchoreo.geometry import (
     disk_geodesic,
     geodesic_hyperboloid,
     lift_coords,
-    lift_to_hyperboloid,
     lift_velocity,
     lorentz_inner,
     project_to_disk,
@@ -63,12 +61,11 @@ class TestExactValues:
     def test_projection_pair(self):
         assert project_to_disk((0.0, 0.0, 1.0), 1.0) == 0.0
         assert project_to_disk((4.0 / 3.0, 0.0, 5.0 / 3.0), 1.0) == pytest.approx(0.5, rel=1e-15)
-        apex = lift_to_hyperboloid(0.0, 1.0)
-        assert (apex.x1, apex.x2, apex.x3) == (0.0, 0.0, 1.0)
-        lifted = lift_to_hyperboloid(0.5, 1.0)
-        assert lifted.x1 == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert lifted.x2 == 0.0
-        assert lifted.x3 == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert lift_coords(0.0, 1.0).tolist() == [0.0, 0.0, 1.0]
+        x1, x2, x3 = lift_coords(0.5, 1.0)
+        assert x1 == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert x2 == 0.0
+        assert x3 == pytest.approx(5.0 / 3.0, rel=1e-15)
 
     def test_disk_distance_hand_value(self):
         # 2 * 0.6 / sqrt(1 - 0.36) = 1.2 / 0.8
@@ -227,10 +224,6 @@ class TestErrors:
             lift_coords(2.0 + 0.0j, 1.0)
 
     def test_off_sheet(self):
-        with pytest.raises(OffSheetError):
-            HyperboloidPoint.on_sheet(1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(OffSheetError):
-            HyperboloidPoint.on_sheet(0.0, 0.0, -1.0, 1.0)
         with pytest.raises(OffSheetError):
             geodesic_hyperboloid((0.0, 0.0, 1.0), (0.0, 0.0, 0.5), 1.0)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -219,3 +220,13 @@ class TestBundled:
         with pytest.raises(MalformedSolutionError) as err:
             load_bundled("no_such_orbit")
         assert "figure_eight" in str(err.value)
+
+    @pytest.mark.parametrize("valid", [False, True], ids=["invalid", "valid_copy"])
+    def test_name_outside_the_package_rejected(self, tmp_path, valid):
+        # A valid copy of a bundled orbit is refused as well as a broken file:
+        # only the package's own names are read.
+        data = solutions._data_root()
+        (tmp_path / "x.json").write_text((data / "figure_eight.json").read_text() if valid else "{bad")
+        for name in (str(tmp_path / "x"), os.path.relpath(tmp_path / "x", data)):
+            with pytest.raises(MalformedSolutionError, match="no bundled solution named"):
+                load_bundled(name)
