@@ -37,7 +37,6 @@ from .geometry import (
     lift_velocity,
     lorentz_inner,
     project_to_disk,
-    rescale_period,
 )
 from .optimizer import (
     Choreography,
@@ -63,8 +62,6 @@ from .trigpath import (
     TrigPath,
     nodes,
     pack_vars,
-    rotate_vars,
-    shift_vars,
     trapezoid_integral,
     unpack_vars,
 )
@@ -132,10 +129,7 @@ __all__ = [
     "project_to_disk",
     "quadrature_size",
     "random_seed",
-    "rescale_period",
-    "rotate_vars",
     "save_solution",
-    "shift_vars",
     "solve",
     "solve_planar",
     "trapezoid_integral",

@@ -26,7 +26,7 @@ short without failing, and names it on stderr.
 
 Exit codes: 0 success; 2 bad arguments, non-convergence or failed
 verification; 3 infeasible seed or random draw; 4 unreadable, malformed,
-or unwritable files.
+or unwritable files, or an exported orbit that leaves the disk.
 """
 
 from __future__ import annotations
@@ -475,10 +475,7 @@ def main(argv=None) -> int:
     except InfeasibleSeedError as exc:
         print(f"infeasible seed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_SEED
-    except MalformedSolutionError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return EXIT_FILE_ERROR
-    except OSError as exc:
+    except (MalformedSolutionError, OSError, geometry.OutOfDiskError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_FILE_ERROR
 

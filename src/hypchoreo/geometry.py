@@ -30,8 +30,6 @@ import math
 
 import numpy as np
 
-from .trigpath import TrigPath
-
 __all__ = [
     "GeometryError",
     "OutOfDiskError",
@@ -44,7 +42,6 @@ __all__ = [
     "disk_distance",
     "disk_geodesic",
     "conformal_factor",
-    "rescale_period",
 ]
 
 # Points are accepted up to this relative margin from the disk boundary;
@@ -178,21 +175,6 @@ def conformal_factor(z, R: float) -> float | np.ndarray:
     _check_in_disk(z, R)
     out = 4.0 * R ** 4 / (R * R - np.abs(z) ** 2) ** 2
     return float(out) if np.ndim(out) == 0 else out
-
-
-def rescale_period(path: TrigPath, T: float, R: float) -> tuple[TrigPath, float]:
-    """Map a T-periodic trajectory to an equivalent 2*pi-periodic one.
-
-    If Q solves the equations of motion with period T on curvature radius
-    R, then mu^(-2/3) Q(mu t) with mu = T/(2*pi) solves them with period
-    2*pi on curvature radius mu^(-2/3) R.  Coefficients are interpreted in
-    the basis exp(2*pi i k t / T), so only the amplitude scaling acts.
-    """
-    if T <= 0.0:
-        raise ValueError("period must be positive")
-    _check_radius(R)
-    scale = (T / (2.0 * math.pi)) ** (-2.0 / 3.0)
-    return TrigPath(path.coeffs * scale), R * scale
 
 
 def _check_radius(R: float):

@@ -49,7 +49,7 @@ import numpy as np
 
 from .action import Configuration, _NodeState, _check_integer, _transform, action_value, evaluate
 from .trigpath import TrigPath, _fit_bandwidth, pack_vars, unpack_vars
-from .verify import PhaseRecord, SolveReport, coefficient_decay, path_residual
+from .verify import PhaseRecord, SolveReport, _rel_gradient_norm, coefficient_decay, path_residual
 
 __all__ = [
     "Phase2Options",
@@ -175,10 +175,6 @@ class Choreography:
         if final is not None:
             return final.action
         return action_value(pack_vars(self.path), self.config)
-
-
-def _rel_gradient_norm(g: np.ndarray, x: np.ndarray) -> float:
-    return float(np.linalg.norm(g)) / max(float(np.linalg.norm(x)), 1e-300)
 
 
 def _bfgs_update(Hinv: np.ndarray, s: np.ndarray, y: np.ndarray, sy: float, work) -> None:
@@ -495,8 +491,6 @@ def phase2_newton(x0, config: Configuration) -> PhaseResult:
                 "the gradient norm grew on two consecutive Newton steps", failed=True,
             )
 
-    if _NEWTON_MAX_STEPS == 0:
-        return result(x, f, grel, 0, False, "iteration limit reached before any Newton step; no Hessian gave a rounding floor")
     if best[0] < grel:
         grel, x, f = best
     return result(x, f, grel, _NEWTON_MAX_STEPS, False, f"iteration limit reached above the rounding floor {floor:.2e}")

@@ -23,8 +23,6 @@ __all__ = [
     "trapezoid_integral",
     "pack_vars",
     "unpack_vars",
-    "rotate_vars",
-    "shift_vars",
 ]
 
 
@@ -135,14 +133,3 @@ def unpack_vars(x: np.ndarray) -> TrigPath:
         raise ValueError("packed vector must have length 2*(2K+1)")
     half = x.size // 2
     return TrigPath(x[:half] + 1j * x[half:])
-
-
-def rotate_vars(x: np.ndarray, theta: float) -> np.ndarray:
-    """Rotate the path about the origin: q -> exp(i theta) q."""
-    path = unpack_vars(x)
-    return pack_vars(TrigPath(path.coeffs * np.exp(1j * theta)))
-
-
-def shift_vars(x: np.ndarray, s: float) -> np.ndarray:
-    """Shift the path in time: q(t) -> q(t + s)."""
-    return pack_vars(unpack_vars(x).shift(s))

@@ -113,10 +113,13 @@ def motion_residual(choreo) -> float:
     return path_residual(choreo.path, choreo.config)
 
 
-def coefficient_decay(choreo) -> float:
+def coefficient_decay(path: TrigPath) -> float:
     """Magnitude of the outermost coefficient pair, max(|c_-K|, |c_K|)."""
-    c = choreo.path.coeffs if hasattr(choreo, "path") else choreo.coeffs
-    return float(max(abs(c[0]), abs(c[-1])))
+    return float(max(abs(path.coeffs[0]), abs(path.coeffs[-1])))
+
+
+def _rel_gradient_norm(g: np.ndarray, x: np.ndarray) -> float:
+    return float(np.linalg.norm(g)) / max(float(np.linalg.norm(x)), 1e-300)
 
 
 def gradient_rel_norm(path: TrigPath, config: Configuration) -> float:
@@ -130,7 +133,7 @@ def gradient_rel_norm(path: TrigPath, config: Configuration) -> float:
     result = evaluate(x, config, order=1, precise=True)
     if not math.isfinite(result.value):
         _state_and_value(x.tobytes(), config)[0].check()
-    return float(np.linalg.norm(result.gradient)) / float(np.linalg.norm(x))
+    return _rel_gradient_norm(result.gradient, x)
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def verify_all(choreo, thresholds: VerificationThresholds | None = None) -> Veri
     thr = thresholds if thresholds is not None else VerificationThresholds()
     failures: list[str] = []
 
-    decay = coefficient_decay(choreo)
+    decay = coefficient_decay(choreo.path)
     if not decay <= thr.decay:
         failures.append(f"coefficient decay {decay:.3e} is not within bound {thr.decay:.3e}")
 

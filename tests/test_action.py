@@ -25,43 +25,8 @@ from hypchoreo.action import (
 from hypchoreo.geometry import BOUNDARY_MARGIN, OutOfDiskError
 from hypchoreo.optimizer import random_seed
 from hypchoreo.solutions import bundled_names, load_bundled
-from hypchoreo.trigpath import TrigPath, nodes, pack_vars, rotate_vars, shift_vars
-
-
-def circle_vars(r, K, phase=0.0):
-    """Packed coefficients of q(t) = r e^{i(t + phase)}."""
-    c = np.zeros(2 * K + 1, dtype=complex)
-    c[K + 1] = r * np.exp(1j * phase)
-    return pack_vars(TrigPath(c))
-
-
-def circle_action_oracle(r, config):
-    """Closed-form action of the circular orbit q = r e^{it}.
-
-    Every integrand is constant in time for this orbit, so the action is
-    2 pi times the integrand: kinetic (n/2) lam(r) r^2 (1 + omega)^2 plus,
-    per pair offset j, the potential kernel at the constant separation
-    D_j = lam(r)^{1/2} r |1 - e^{2 pi i j / n}| (chordal; Euclidean when
-    planar).  Written directly from the formulas, independently of the
-    package's node/FFT machinery.
-    """
-    n, R, w = config.n, config.R, config.omega
-    kinetic_density = r * r * (1.0 + w) ** 2
-    total = 0.0
-    if math.isinf(R):
-        total += 0.5 * n * kinetic_density * 2.0 * math.pi
-        for j in range(1, n):
-            d = 2.0 * r * math.sin(math.pi * j / n)
-            total += 0.5 * n * 2.0 * math.pi / d
-        return total
-    lam = 4.0 * R ** 4 / (R * R - r * r) ** 2
-    total = 0.5 * n * lam * kinetic_density * 2.0 * math.pi
-    for j in range(1, n):
-        chord = 2.0 * r * math.sin(math.pi * j / n)
-        d = math.sqrt(lam) * chord  # equals 2R^2 chord / (R^2 - r^2)
-        kernel = (2.0 * R * R + d * d) / (d * math.sqrt(4.0 * R * R + d * d))
-        total += (0.5 * n / R) * kernel * 2.0 * math.pi
-    return total
+from hypchoreo.trigpath import TrigPath, nodes, pack_vars, unpack_vars
+from circles import circle_action, circle_path
 
 
 FD_CONFIGS = [
@@ -137,8 +102,8 @@ class TestCircleOracle:
         ],
     )
     def test_action_matches_closed_form(self, config, r):
-        got = action_value(circle_vars(r, config.K), config)
-        expect = circle_action_oracle(r, config)
+        got = action_value(pack_vars(circle_path(r, config.K)), config)
+        expect = circle_action(r, config)
         assert got == pytest.approx(expect, rel=1e-13)
 
     def test_separations_match_chord_formula(self):
@@ -425,8 +390,9 @@ class TestSymmetries:
         for config in FD_CONFIGS:
             x = feasible_point(config, rng)
             a = action_value(x, config)
+            path = unpack_vars(x)
             for theta in (0.3, 1.7, -2.2):
-                b = action_value(rotate_vars(x, theta), config)
+                b = action_value(pack_vars(TrigPath(path.coeffs * np.exp(1j * theta))), config)
                 assert abs(b - a) <= 1e-12 * abs(a), f"{config}: theta={theta}"
 
     def test_grid_multiple_shift_exact(self):
@@ -438,7 +404,7 @@ class TestSymmetries:
         M = quadrature_size(config.K)
         a = action_value(x, config)
         for m in (1, 3, M // 2):
-            b = action_value(shift_vars(x, 2.0 * np.pi * m / M), config)
+            b = action_value(pack_vars(unpack_vars(x).shift(2.0 * np.pi * m / M)), config)
             assert abs(b - a) <= 1e-12 * abs(a)
 
     def test_arbitrary_shift_on_smooth_path(self):
@@ -449,11 +415,11 @@ class TestSymmetries:
         c[17] = 0.45
         c[18] = 0.1j
         c[15] = 0.05
-        x = pack_vars(TrigPath(c))
-        a = action_value(x, config)
+        path = TrigPath(c)
+        a = action_value(pack_vars(path), config)
         rng = np.random.default_rng(48)
         for s in rng.uniform(0.0, 2.0 * np.pi, 5):
-            b = action_value(shift_vars(x, float(s)), config)
+            b = action_value(pack_vars(path.shift(float(s))), config)
             assert abs(b - a) <= 1e-12 * abs(a)
 
 
@@ -608,8 +574,8 @@ class TestHyperboloidEnergies:
         # are constant; their difference integrates to the disk action.
         config = Configuration(n=3, R=1.3, K=4)
         r = 0.45
-        x = circle_vars(r, config.K)
-        path = TrigPath((x[: 2 * config.K + 1] + 1j * x[2 * config.K + 1 :]))
+        path = circle_path(r, config.K)
+        x = pack_vars(path)
         t = nodes(64)
         kin, pot = hyperboloid_energies(path, config, t)
         integral = 2.0 * np.pi * float(np.mean(kin - pot))
@@ -618,8 +584,8 @@ class TestHyperboloidEnergies:
     def test_rotating_frame_term(self):
         config = Configuration(n=2, R=2.0, K=3, omega=0.7)
         r = 0.5
-        x = circle_vars(r, config.K)
-        path = TrigPath(x[:7] + 1j * x[7:])
+        path = circle_path(r, config.K)
+        x = pack_vars(path)
         t = nodes(32)
         kin, pot = hyperboloid_energies(path, config, t)
         integral = 2.0 * np.pi * float(np.mean(kin - pot))

@@ -515,6 +515,20 @@ class TestExport:
         assert code == 0
         assert out.read_text().startswith("k,abs_c")
 
+    def test_off_disk_orbit_is_a_file_error(self, tmp_path, capsys):
+        # A file may hold an orbit off the disk (verify reports it as FAIL);
+        # its hyperboloid lift is then undefined.
+        eight = load_bundled("figure_eight")
+        off = tmp_path / "off.json"
+        write_seed(off, 3.0 * eight.path.coeffs, eight.config)
+        out = tmp_path / "orbit.csv"
+        code = main(["export", str(off), "--format", "csv", "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("file error: |z| = ")
+        assert err.endswith(" too close to the boundary |z| = 1.5\n")
+        assert not out.exists()
+
 
 class TestSearch:
     def test_finds_circle_and_is_deterministic(self, tmp_path, capsys):

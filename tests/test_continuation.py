@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import hypchoreo
 from hypchoreo.action import Configuration, action_value, evaluate
@@ -26,32 +25,11 @@ from hypchoreo.optimizer import Choreography, Phase2Options, SolveFailure, solve
 from hypchoreo.solutions import load_bundled
 from hypchoreo.trigpath import TrigPath, pack_vars
 from hypchoreo.verify import SolveReport, VerificationThresholds, verify_all
-
-
-def critical_circle_radius(n, R, speed=1.0):
-    """Root of the radial force balance for the circular orbit traversed
-    at angular speed k + omega (see test_verify for the derivation); flat
-    case in closed form."""
-    chi = [2.0 * math.sin(math.pi * j / n) for j in range(1, n)]
-    if math.isinf(R):
-        return (sum(1.0 / x for x in chi) / (2.0 * speed ** 2)) ** (1.0 / 3.0)
-
-    def balance(r):
-        u = r * r
-        lam = 4.0 * R ** 4 / (R * R - u) ** 2
-        total = speed ** 2
-        for x in chi:
-            D = lam * u * x * x
-            total += (1.0 / R) * x * x * (-4.0 * R ** 4) * (D * D + 4.0 * R * R * D) ** -1.5
-        return total
-
-    return brentq(balance, 1e-6 * R, 0.999 * R, xtol=1e-15, rtol=8.9e-16)
+from circles import circle_path, critical_circle_radius
 
 
 def circle_choreo(r, K, config):
-    c = np.zeros(2 * K + 1, dtype=complex)
-    c[K + 1] = r
-    return Choreography(config=config, path=TrigPath(c), report=SolveReport())
+    return Choreography(config=config, path=circle_path(r, K), report=SolveReport())
 
 
 @pytest.fixture(scope="module")

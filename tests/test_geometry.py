@@ -1,10 +1,13 @@
 """Hyperbolic geometry: both models, the maps between them, exact values."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypchoreo import geometry
 from hypchoreo.geometry import (
     BOUNDARY_MARGIN,
     GeometryError,
@@ -18,9 +21,7 @@ from hypchoreo.geometry import (
     lift_velocity,
     lorentz_inner,
     project_to_disk,
-    rescale_period,
 )
-from hypchoreo.trigpath import TrigPath
 
 
 def random_disk_points(rng, count, R, rmax=0.95):
@@ -187,33 +188,6 @@ class TestLiftVelocity:
         assert float(np.max(np.abs(inner))) <= 1e-10 * float(np.max(np.abs(V)))
 
 
-class TestRescalePeriod:
-    def test_identity_at_native_period(self):
-        path = TrigPath([0.1j, 0.4, 0.2 - 0.1j])
-        out, R2 = rescale_period(path, 2.0 * math.pi, 1.5)
-        assert np.array_equal(out.coeffs, path.coeffs)
-        assert R2 == 1.5
-
-    def test_sixteen_pi(self):
-        path = TrigPath([0.0, 1.0, 0.0])
-        out, R2 = rescale_period(path, 16.0 * math.pi, 1.0)
-        assert out.coeffs[1] == pytest.approx(8.0 ** (-2.0 / 3.0), rel=1e-15)
-        assert R2 == pytest.approx(8.0 ** (-2.0 / 3.0), rel=1e-15)
-
-    def test_composition(self):
-        path = TrigPath([0.2, 0.5, -0.3j])
-        first, R1 = rescale_period(path, 5.0, 2.0)
-        second, R2 = rescale_period(first, 7.0, R1)
-        mu = (5.0 / (2.0 * math.pi)) * (7.0 / (2.0 * math.pi))
-        direct, R3 = rescale_period(path, 2.0 * math.pi * mu, 2.0)
-        assert np.allclose(second.coeffs, direct.coeffs, rtol=1e-14)
-        assert R2 == pytest.approx(R3, rel=1e-14)
-
-    def test_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            rescale_period(TrigPath([0.0, 1.0, 0.0]), 0.0, 1.0)
-
-
 class TestErrors:
     def test_out_of_disk(self):
         with pytest.raises(OutOfDiskError):
@@ -236,3 +210,15 @@ class TestErrors:
     def test_bad_coordinate_shape(self):
         with pytest.raises(ValueError):
             lorentz_inner((1.0, 2.0), (1.0, 2.0))
+
+
+def test_geometry_is_a_leaf_module():
+    # Every other module may import geometry, so it imports none of them.
+    tree = ast.parse(Path(geometry.__file__).read_text())
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] == "hypchoreo"):
+            imports.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names if alias.name.split(".")[0] == "hypchoreo"]
+    assert not imports, f"geometry imports package modules: {imports}"

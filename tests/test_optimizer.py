@@ -28,23 +28,8 @@ from hypchoreo.optimizer import (
 from hypchoreo.solutions import load_bundled
 from hypchoreo.trigpath import TrigPath, nodes, pack_vars
 from hypchoreo.verify import SolveReport
+from circles import circle_action
 from test_cli import diverging, infeasible_start, stalling
-
-
-def circle_action(r, config):
-    """Closed-form action of q = r e^{it}; written independently of the package."""
-    n, R, w = config.n, config.R, config.omega
-    if math.isinf(R):
-        total = 0.5 * n * r * r * (1 + w) ** 2 * 2 * math.pi
-        for j in range(1, n):
-            total += 0.5 * n * 2 * math.pi / (2 * r * math.sin(math.pi * j / n))
-        return total
-    lam = 4 * R ** 4 / (R * R - r * r) ** 2
-    total = 0.5 * n * lam * r * r * (1 + w) ** 2 * 2 * math.pi
-    for j in range(1, n):
-        d = math.sqrt(lam) * 2 * r * math.sin(math.pi * j / n)
-        total += (0.5 * n / R) * (2 * R * R + d * d) / (d * math.sqrt(4 * R * R + d * d)) * 2 * math.pi
-    return total
 
 
 def bfgs_work(dim):
@@ -882,20 +867,3 @@ class TestPhase2Newton:
         assert out.gradient_rel_norm == out.gradient_norms[1]
         assert np.array_equal(out.x, x0 + steps[0])
         assert out.value == out.values[1]
-
-    def test_no_step_leaves_the_floor_unknown(self, monkeypatch):
-        # With no step allowed no Hessian is assembled, so there is no
-        # rounding floor to report, not a floor of 0.
-        config, x0 = self._start()
-
-        def no_hessian(x, config, order, precise=False):
-            assert order < 2, "a Hessian was assembled"
-            return evaluate(x, config, order=order, precise=precise)
-
-        monkeypatch.setattr(optimizer, "evaluate", no_hessian)
-        monkeypatch.setattr(optimizer, "_NEWTON_MAX_STEPS", 0)
-        out = phase2_newton(x0, config)
-        assert not out.failed and not out.converged
-        assert out.message == "iteration limit reached before any Newton step; no Hessian gave a rounding floor"
-        assert out.iterations == 0 and out.curvature_indices == []
-        assert np.array_equal(out.x, x0) and out.gradient_rel_norm == out.gradient_norms[0]

