@@ -68,9 +68,11 @@ in one of two precisions, each built once per (K, precise) and cached:
 double precision, or long double for the Newton endgame and the final
 verification, whose rounding floor lies far below the double-precision
 gradient's (about 1e-12 relative at converged solutions) wherever long
-double is wider than double.  The same node state, on its own grid of M
-nodes, gives verify.path_residual its node values and feasibility tests
-and optimizer.random_seed the separations of its draws.
+double is wider than double.  The node state computes the pointwise
+terms kappa and the pair log-derivatives a0, a1 once, for the gradient,
+the Hessian and, on its own grid of M nodes, verify.path_residual, which
+also reads its node values and feasibility tests; optimizer.random_seed
+reads the separations of its draws.
 """
 
 from __future__ import annotations
@@ -317,9 +319,9 @@ class _NodeState:
 
     p, its n-1 shifted copies and u are the transform of p times the
     multiplier table.  z holds p (row 0) and the copies pj (rows 1..n-1);
-    pj and everything derived per pair (dp = p - pj, seps_sq, kernel) are
-    (n-1, M) arrays with one row per shift j = 1..n-1.  Squared moduli,
-    zz of z and uu of u, are taken as re^2 + im^2.
+    pj and everything derived per pair (dp = p - pj, seps_sq, kernel, a0,
+    a1) are (n-1, M) arrays with one row per shift j = 1..n-1.  Squared
+    moduli, zz of z and uu of u, are taken as re^2 + im^2.
     """
 
     def __init__(self, p: np.ndarray, config: Configuration, precise: bool = False, M: int | None = None):
@@ -350,12 +352,20 @@ class _NodeState:
         """The pair kernel at seps_sq; only defined once no pair has collided."""
         return _PairKernel(self.seps_sq, self.eps)
 
+    # kappa = d log(1/a) / dz = eps conj(z) / (4a), one row per row of z, and
+    # per pair the log-derivatives a0 = d log P / dp = 1/(p - pj) + kappa_0
+    # and a1 = d log P / dpj = kappa_j - 1/(p - pj) of P = seps_sq.
+    kappa = functools.cached_property(lambda self: self.z.conj() * (0.25 * self.eps / self.a))
+    _inv_dp = functools.cached_property(lambda self: 1.0 / self.dp)
+    a0 = functools.cached_property(lambda self: self._inv_dp + self.kappa[0])
+    a1 = functools.cached_property(lambda self: self.kappa[1:] - self._inv_dp)
+
     @functools.cached_property
     def precise_gradient(self) -> np.ndarray:
         """The action's gradient at these coefficients from long-double node
         values on the quadrature grid, read-only; computed on first use.
         Only defined once the point is feasible."""
-        gradient = _first_order(_NodeState(self.coefficients, self.config, precise=True))[0]
+        gradient = _first_order(_NodeState(self.coefficients, self.config, precise=True))
         gradient.flags.writeable = False
         return gradient
 
@@ -393,10 +403,8 @@ def _state_and_value(data: bytes, config: Configuration) -> tuple[_NodeState, fl
     return state, state.value()
 
 
-def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
-    """Gradient in the packed coefficients of q, and the first-order terms
-    the Hessian reuses: kappa = d log(1/a) / dz = eps conj(z) / (4a) by row
-    of z, and per pair a0 and a1 = d log P / dp and / dp_j, each (n-1, M).
+def _first_order(state: _NodeState) -> np.ndarray:
+    """Gradient in the packed coefficients of q.
 
     One stack holds the integrand's derivatives in each row of the node
     state (p, each p_j, u), with w F' P formed once and the exact factor
@@ -405,31 +413,24 @@ def _first_order(state: _NodeState) -> tuple[np.ndarray, tuple]:
     """
     sp, n = state.sp, state.config.n
     w = 2.0 * state.config.sigma * state.w
-    kappa = state.z.conj() * (0.25 * state.eps / state.a)
     wFpP = w * state.kernel.dF * state.seps_sq
 
-    # Pair terms: P is a function of z0 = p(t) and z1 = p_j(t);
-    # alpha_a = d log P / d z_a.
-    inv_dp = 1.0 / state.dp
-    a0 = inv_dp + kappa[0]
-    a1 = kappa[1:] - inv_dp
-
     # Wirtinger derivatives of the kinetic integrand, with d lam / dp =
-    # 2 lam kappa, and of the pairs.
+    # 2 lam kappa, and of the pairs, whose P depends on p and p_j.
     wlam = w * state.lam
-    rows = np.empty((n + 1, sp.M), dtype=kappa.dtype)
-    np.multiply(2.0 * wlam * state.uu, kappa[0], out=rows[0])
-    rows[0] += (wFpP * a0).sum(axis=0)
-    np.multiply(wFpP, a1, out=rows[1:-1])
+    rows = np.empty((n + 1, sp.M), dtype=state.kappa.dtype)
+    np.multiply(2.0 * wlam * state.uu, state.kappa[0], out=rows[0])
+    rows[0] += (wFpP * state.a0).sum(axis=0)
+    np.multiply(wFpP, state.a1, out=rows[1:-1])
     np.multiply(wlam, state.u.conj(), out=rows[-1])
 
     v = (sp.adjoint(rows) * state.multipliers).sum(axis=0)
-    return np.concatenate([v.real, -v.imag]).astype(float, copy=False), (kappa, a0, a1)
+    return np.concatenate([v.real, -v.imag]).astype(float, copy=False)
 
 
-def _second_order(state: _NodeState, kappa, a0, a1) -> tuple[tuple, tuple]:
+def _second_order(state: _NodeState) -> tuple[tuple, tuple]:
     """Node values of the second Wirtinger derivatives, unweighted, from the
-    first-order terms of _first_order.
+    first-order terms of the node state (kappa, a0, a1).
 
     Kinetic: (lam, f1, f2, f3, f4), the sources of the blocks
     dw toep(lam) dwc, hank(f1), 2 hank(f2) dw, toep(f3) and 2 toep(f4) dwc.
@@ -437,6 +438,7 @@ def _second_order(state: _NodeState, kappa, a0, a1) -> tuple[tuple, tuple]:
     (A) and d^2 F / dz_a dzbar_b (B) with z_0 = p and z_1 = p_j.
     """
     h = 0.25 * state.eps / (state.a * state.a)  # d kappa / dzbar, by row of z
+    kappa, a0, a1 = state.kappa, state.a0, state.a1
     P, Fp, Fpp = state.seps_sq, state.kernel.dF, state.kernel.d2F
     lam, uu, dp = state.lam, state.uu, state.dp
     Pa, Pb = P * a0, P * a1
@@ -488,7 +490,7 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
         return ActionEvaluation(value)
     if precise and order < 2:
         return ActionEvaluation(value, state.precise_gradient)
-    gradient, first = _first_order(state)
+    gradient = _first_order(state)
     if order < 2:
         return ActionEvaluation(value, gradient)
     if precise:
@@ -502,7 +504,7 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     # Wh + Wh^H; the power of two 2 sigma^2 goes, exactly, into the weights.
     sp, dw = state.sp, state.multipliers[-1]
     hank, toep, phases, dft, r = sp.fold(config.n)
-    (lam, f1, f2, f3, f4), (A00, A01, A11, B00, B01, B11) = _second_order(state, *first)
+    (lam, f1, f2, f3, f4), (A00, A01, A11, B00, B01, B11) = _second_order(state)
     w = sigma * sigma * state.w
 
     # The pair blocks fold over the shifts (module docstring): at the signed

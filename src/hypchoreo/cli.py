@@ -82,7 +82,7 @@ _REPORT_ROWS = (
 def _radius(text: str) -> float:
     value = float(text)
     if not value > 0.0:
-        raise argparse.ArgumentTypeError("R must be positive (inf for the flat problem)")
+        raise argparse.ArgumentTypeError(f"R must be positive, got {value}")
     if not math.isfinite((1.0 / value) * (1.0 / value)):
         raise argparse.ArgumentTypeError(f"R = {value} is too small: its curvature 1/R^2 overflows")
     return value
@@ -94,6 +94,14 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
+
+
+def _radius_list(text: str) -> list[float]:
+    """argparse type for --R-list: distinct finite radii, each a valid --R, largest first."""
+    radii = sorted({_radius(tok) for tok in text.split(",") if tok.strip()}, reverse=True)
+    if not radii or math.isinf(radii[0]):
+        raise argparse.ArgumentTypeError(f"need comma-separated finite radii, got {text!r}")
+    return radii
 
 
 def _at_least(minimum: int):
@@ -193,9 +201,10 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_rows(label: str, result: ContinuationResult) -> str:
-    slope = ""
-    if len(result.members) >= 3 and all(m.diff_to_planar > 0.0 for m in result.members):
+    try:
         slope = _f(convergence_rate(result.members))
+    except ValueError:
+        slope = ""
     lines = ["family,R,diff,slope"]
     for member in result.members:
         lines.append(f"{label},{_f(member.R)},{_f(member.diff_to_planar)},{slope}")
@@ -203,13 +212,6 @@ def _sweep_rows(label: str, result: ContinuationResult) -> str:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        radii = sorted({float(tok) for tok in args.R_list.split(",") if tok.strip()}, reverse=True)
-    except ValueError:
-        radii = []
-    if not radii or not all(0.0 < R < math.inf for R in radii):
-        print(f"R list {args.R_list!r}: need comma-separated finite positive radii", file=sys.stderr)
-        return EXIT_FILE_ERROR
     family = _load_file(args.family)
     options2 = Phase2Options(K2=args.K2 if args.K2 is not None else family.config.K)
 
@@ -218,7 +220,7 @@ def cmd_sweep(args) -> int:
         if not family.config.is_planar:
             doubled = TrigPath(family.path.coeffs * family.config.sigma)
             planar_start = solve_planar(replace(family.config, R=math.inf), doubled, options2)
-        result = continue_in_R(replace(family.config, R=radii[0]), radii, planar_start, options2)
+        result = continue_in_R(replace(family.config, R=args.R_list[0]), args.R_list, planar_start, options2)
     except SolveFailure as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
@@ -443,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # No abbreviations: an old --K is an error, not a prefix of --K2.
     p_sweep = sub.add_parser("sweep", help="continue a family in R and compare to the flat limit", allow_abbrev=False)
     p_sweep.add_argument("--family", required=True, help="solution file identifying the family")
-    p_sweep.add_argument("--R-list", required=True, help="comma-separated radii, e.g. 10,100,1000")
+    p_sweep.add_argument("--R-list", type=_radius_list, required=True, help="comma-separated radii, e.g. 10,100,1000")
     p_sweep.add_argument("--K2", type=_at_least(1), default=None, help="Newton bandwidth of the flat solve, fitted from the whole doubled orbit, and of the members (default the file's)")
     p_sweep.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_sweep.set_defaults(handler=cmd_sweep)

@@ -245,7 +245,7 @@ def convergence_rate(members) -> float:
     pairs = [(float(m.R), float(m.diff_to_planar)) for m in members]
     if len(pairs) < 3:
         raise ValueError("need at least three members to fit a rate")
-    if any(d <= 0.0 for _, d in pairs):
+    if not all(d > 0.0 for _, d in pairs):
         raise ValueError("diffs must be positive to fit a log-log slope")
     logs_R = np.log([R for R, _ in pairs])
     logs_d = np.log([d for _, d in pairs])

@@ -22,9 +22,10 @@ with F'(P) = -G^(-3/2)/2 and G = P (1 + eps P/4) from the action's pair
 kernel.  At eps = 0 this is Newton's sum of (p_j - p)/|p_j - p|^3.  No
 power of R appears, so the residual stays finite for any R.  Because all
 bodies follow the same curve, the residual is computed for body 0 only.
-Its node values, scales, separations and feasibility tests are those of
-the action's node state (action._NodeState) on the residual's grid; only
-p'' takes a second transform.
+Its node values, scales, separations, kappa, pair factors (the conjugate
+of the action's log-derivative a0) and feasibility tests are those of the
+action's node state (action._NodeState) on the residual's grid; only p''
+takes a second transform.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .action import CollisionError, Configuration, _NodeState, _state_and_value, evaluate
+from .action import CollisionError, Configuration, _NodeState, evaluate
 from .trigpath import TrigPath, nodes, pack_vars
 
 __all__ = [
@@ -78,29 +79,24 @@ class SolveReport:
         return self.phase2 if self.phase2 is not None else self.phase1
 
 
-def path_residual(path: TrigPath, config: Configuration, node_count: int | None = None) -> float:
+def path_residual(path: TrigPath, config: Configuration) -> float:
     """Relative 2-norm of the equations-of-motion defect for body 0.
 
     The defect p'' - (rest of the equation) is evaluated on the action's
-    node state (see action._NodeState) on the path's own 2K+1 nodes (or
-    `node_count` nodes) and normalized by the 2-norm of p'' on the same
-    grid, so the scale sigma of p = sigma q cancels.  Raises OutOfDiskError
-    and CollisionError on the action's own tests.
+    node state (see action._NodeState) on the path's own 2K+1 nodes, and
+    normalized by the 2-norm of p'' on the same grid, so the scale sigma
+    of p = sigma q cancels.  Raises OutOfDiskError and CollisionError on
+    the action's own tests.
     """
-    N = node_count if node_count is not None else 2 * path.K + 1
-    if N < 2 * path.K + 1:
-        raise ValueError("residual grid must resolve the path")
     w = config.omega
     pc = config.sigma * path.coeffs
-    state = _NodeState(pc, config, M=N)
+    state = _NodeState(pc, config, M=2 * path.K + 1)
     state.check()
-    sp, p, v, a, P = state.sp, state.p, state.u, state.a[0], state.seps_sq
-    vel = v - 1j * w * p
+    sp, p, v, a, kappa = state.sp, state.p, state.u, state.a[0], state.kappa[0]
     acc = sp.values(-(sp.k * sp.k) * pc)
 
-    kappa = 0.25 * state.eps * np.conj(p) / a
-    pair = np.sum(state.kernel.dF * P * (1.0 / np.conj(state.dp) + np.conj(kappa)), axis=0)
-    rhs = -2j * w * vel + w * w * p - 2.0 * kappa * v * v + 2.0 * a ** 2 * pair
+    pair = np.sum(state.kernel.dF * state.seps_sq * np.conj(state.a0), axis=0)
+    rhs = -2j * w * (v - 1j * w * p) + w * w * p - 2.0 * kappa * v * v + 2.0 * a ** 2 * pair
 
     scale = float(np.linalg.norm(acc))
     if scale == 0.0:
@@ -132,7 +128,7 @@ def gradient_rel_norm(path: TrigPath, config: Configuration) -> float:
     x = pack_vars(path)
     result = evaluate(x, config, order=1, precise=True)
     if not math.isfinite(result.value):
-        _state_and_value(x.tobytes(), config)[0].check()
+        _NodeState(config.sigma * path.coeffs, config).check()
     return _rel_gradient_norm(result.gradient, x)
 
 

@@ -16,7 +16,6 @@ from hypchoreo.action import (
     pairwise_separations,
     quadrature_size,
     _coefficients,
-    _first_order,
     _NodeState,
     _PairKernel,
     _second_order,
@@ -48,8 +47,7 @@ def pair_by_pair_hessian(x, config):
     framed by that pair's shift phases, 6(n-1) + 4 gathers in all.  The
     slow reference for evaluate's assembly, which folds the pairs."""
     state = _NodeState(_coefficients(x, config), config)
-    _, first = _first_order(state)
-    kinetic, pairs = _second_order(state, *first)
+    kinetic, pairs = _second_order(state)
     sp, w, dw = state.sp, state.w, state.multipliers[-1]
     dwc = np.conj(dw)
     kmod = np.arange(-config.K, config.K + 1) % sp.M

@@ -367,11 +367,25 @@ class TestSweep:
         assert all(row[3] == "" for row in rows)
 
     @pytest.mark.parametrize(
-        "radii", [" , ", "a,10", "10,-5", "inf,10"], ids=["empty", "not_a_number", "negative", "infinite"]
+        "radii",
+        [" , ", "a,10", "10,-5", "inf,10", "1e-200,10"],
+        ids=["empty", "not_a_number", "negative", "infinite", "curvature_overflows"],
     )
-    def test_empty_radius_list_exit_4(self, circle_solution, capsys, radii):
-        code = main(["sweep", "--family", str(circle_solution), "--R-list", radii])
-        assert code == 4
+    def test_empty_radius_list_exit_2(self, circle_solution, tmp_path, capsys, radii):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", str(circle_solution), "--R-list", radii, "--out", str(out)])
+        assert exc.value.code == 2
+        stdout, err = capsys.readouterr()
+        assert "--R-list" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_repeated_radii_give_one_row_each(self, circle_solution, capsys):
+        code = main(["sweep", "--family", str(circle_solution), "--R-list", "10,10,50", "--K2", "8"])
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert code == 0
+        assert [float(row[1]) for row in rows] == [50.0, 10.0]
 
     def test_K2_below_file_bandwidth_exit_2(self, capsys):
         # The whole doubled orbit is cut to --K2 = 3, far below the file's
