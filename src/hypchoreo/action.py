@@ -73,6 +73,23 @@ terms kappa and the pair log-derivatives a0, a1 once, for the gradient,
 the Hessian and, on its own grid of M nodes, verify.path_residual, which
 also reads its node values and feasibility tests; optimizer.random_seed
 reads the separations of its draws.
+
+What is computed when.  Once per (K, precise, M): the transform, with
+its multiplier table per (n, omega) and the Hessian's tables on a
+Hessian's first use (_transform).  Once per configuration on a
+transform: eps and the trapezoid weight (_constants).  Once per point,
+when the node state is built: the node values and their conjugates,
+squared moduli, scales, conformal factor and pair separations; with the
+value, the kernel's G, 1/sqrt(G) and F.  On demand, then kept with the
+state: the first-order terms (F', kappa, a0, a1) and the precise
+gradient; F'' is formed by each Hessian.  Each kept term is a pure
+function of the state's arrays, stored by one assignment once complete,
+so the state takes no lock: two threads that ask at once compute the
+term twice and keep equal arrays, and none sees it half built.  Every
+other buffer is allocated per call, so evaluate shares nothing mutable
+between calls or threads.  A state is small numpy work on (n+1) x M
+arrays, at a few microseconds per call, so the hot path calls ufuncs
+directly (np.add.reduce for a sum) and forms each term once.
 """
 
 from __future__ import annotations
@@ -216,6 +233,7 @@ class _Spectral:
         self.real = real
         self.complex = np.result_type(real, 1j)
         self.pi = np.pi if real is np.float64 else _PI_EXTENDED
+        self.K = K
         k = np.arange(-K, K + 1)
         # k in the transform's dtype, so that i (k + omega) c keeps its precision.
         self.k = k.astype(real)
@@ -223,16 +241,21 @@ class _Spectral:
         self._multipliers: dict[tuple[int, float], np.ndarray] = {}
         self._folds: dict[int, tuple[np.ndarray, ...]] = {}
 
+    # Slots M-K..M-1 of a transform hold k = -K..-1 and slots 0..K hold
+    # k = 0..K, so two slices move the coefficients in and out.
     def values(self, c: np.ndarray) -> np.ndarray:
-        spectrum = np.zeros(c.shape[:-1] + (self.M,), dtype=self.complex)
-        spectrum[..., self._kmod] = c
+        K, M = self.K, self.M
+        spectrum = np.zeros(c.shape[:-1] + (M,), dtype=self.complex)
+        spectrum[..., M - K:] = c[..., :K]
+        spectrum[..., :K + 1] = c[..., K:]
         return self.transform(spectrum)
 
     def transform(self, d: np.ndarray) -> np.ndarray:
         return np.fft.ifft(d, axis=-1, norm="forward")
 
     def adjoint(self, d: np.ndarray) -> np.ndarray:
-        return self.transform(d).take(self._kmod, axis=-1)
+        f = self.transform(d)
+        return np.concatenate((f[..., self.M - self.K:], f[..., :self.K + 1]), axis=-1)
 
     def _roots(self, n: int) -> np.ndarray:
         """The n-th roots of unity exp(2 pi i m / n), m = 0..n-1, in the
@@ -251,7 +274,7 @@ class _Spectral:
     def fold(self, n: int) -> tuple[np.ndarray, ...]:
         """(hank, toep, phases, dft, r) for n bodies; see the class docstring."""
         if n not in self._folds:
-            K, M = self.k.size // 2, self.M
+            K, M = self.K, self.M
             # Slot m of a transform holds the signed index r = m or m - M;
             # k + l and k - l lie in [-2K, 2K], one slot each only if M > 4K.
             if M <= 4 * K:
@@ -289,27 +312,42 @@ def _coefficients(x, config: Configuration) -> np.ndarray:
     return config.sigma * (x[:half] + 1j * x[half:])
 
 
-class _PairKernel:
-    """Pair integrand F and its derivatives as functions of the squared
-    separation P, at curvature eps:
+@functools.lru_cache(maxsize=32)
+def _constants(config: Configuration, K: int, precise: bool, M: int | None) -> tuple:
+    """What a node state of bandwidth K on M nodes (default the quadrature
+    grid) takes from its configuration, looked up once: the transform, the
+    curvature eps = 1/R^2 in its dtype, the multiplier table for (n, omega)
+    and the trapezoid weight (n/2) (2 pi / M) of every integral."""
+    # Without M, the same cache entry as _transform(K, precise).
+    sp = _transform(K, precise) if M is None else _transform(K, precise, M)
+    eps = (1 / sp.real(config.R)) ** 2
+    return sp, eps, sp.multipliers(config.n, config.omega), 0.5 * config.n * (2.0 * sp.pi / sp.M)
 
-        F = (1 + eps P/2) G^(-1/2),  F' = -G^(-3/2) / 2,
-        F'' = (3/4) (1 + eps P/2) G^(-5/2) = (3/4) F / G^2,
+
+def _pair_kernel(P: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair integrand F as a function of the squared separation P, at
+    curvature eps, with the terms its derivatives are formed from:
+
+        F = (1 + eps P/2) G^(-1/2),  F' = -G^(-3/2) / 2 (_pair_slope),
+        F'' = (3/4) (1 + eps P/2) G^(-5/2) = (3/4) F / G^2 (_pair_curvature),
 
     with G = P (1 + eps P/4); at eps = 0 the Newtonian P^(-1/2), -P^(-3/2)/2
-    and (3/4) P^(-5/2).  G, 1/sqrt(G) and 1 + eps P/2 are computed once, and
-    F, F' and F'' from them on first use: one square root instead of
-    fractional powers (powl in long double), each within a few roundings.
+    and (3/4) P^(-5/2).  Returns (G, 1/sqrt(G), F): one square root instead
+    of fractional powers (powl in long double), each within a few roundings.
     """
+    G = P * (1.0 + 0.25 * eps * P)
+    inv_root = 1.0 / np.sqrt(G)
+    return G, inv_root, (1.0 + 0.5 * eps * P) * inv_root
 
-    def __init__(self, P: np.ndarray, eps):
-        self.b = 1.0 + 0.5 * eps * P
-        self.G = P * (1.0 + 0.25 * eps * P)
-        self.inv_root = 1.0 / np.sqrt(self.G)
 
-    F = functools.cached_property(lambda self: self.b * self.inv_root)
-    dF = functools.cached_property(lambda self: -0.5 * self.inv_root / self.G)
-    d2F = functools.cached_property(lambda self: 0.75 * self.F / (self.G * self.G))
+def _pair_slope(G: np.ndarray, inv_root: np.ndarray) -> np.ndarray:
+    """F' = -G^(-3/2) / 2 from the terms of _pair_kernel."""
+    return -0.5 * inv_root / G
+
+
+def _pair_curvature(G: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """F'' = (3/4) F / G^2 from the terms of _pair_kernel."""
+    return 0.75 * F / (G * G)
 
 
 class _NodeState:
@@ -318,56 +356,71 @@ class _NodeState:
     precise), on the quadrature grid or on M nodes.
 
     p, its n-1 shifted copies and u are the transform of p times the
-    multiplier table.  z holds p (row 0) and the copies pj (rows 1..n-1);
-    pj and everything derived per pair (dp = p - pj, seps_sq, kernel, a0,
-    a1) are (n-1, M) arrays with one row per shift j = 1..n-1.  Squared
-    moduli, zz of z and uu of u, are taken as re^2 + im^2.
+    multiplier table.  z holds p (row 0) and the copies pj (rows 1..n-1),
+    zc and uc the conjugates of z and u; everything derived per pair
+    (dp = p - pj, seps_sq, the kernel, a0, a1) is an (n-1, M) array with
+    one row per shift j = 1..n-1.  Squared moduli, zz of z and uu of u,
+    are taken as re^2 + im^2.  The kernel, the first-order terms and the
+    precise gradient are computed on first request and kept, without a
+    lock (see the module docstring).
     """
+
+    __slots__ = (
+        "coefficients", "config", "sp", "eps", "multipliers", "w",
+        "z", "u", "zc", "uc", "p", "zz", "uu", "a", "lam", "dp", "seps_sq",
+        "_kernel", "_first", "_precise",
+    )
 
     def __init__(self, p: np.ndarray, config: Configuration, precise: bool = False, M: int | None = None):
         self.coefficients = p
-        K = (p.size - 1) // 2
-        # Without M, the same cache entry as _transform(K, precise).
-        self.sp = sp = _transform(K, precise) if M is None else _transform(K, precise, M)
         self.config = config
-        self.eps = (1 / sp.real(config.R)) ** 2
-        self.multipliers = sp.multipliers(config.n, config.omega)
-        nodes = sp.values(self.multipliers * p)
-        squares = (nodes * nodes.conj()).real
+        sp, eps, multipliers, self.w = _constants(config, (p.size - 1) // 2, precise, M)
+        self.sp, self.eps, self.multipliers = sp, eps, multipliers
+        nodes = sp.values(multipliers * p)
+        conj = nodes.conj()
+        squares = (nodes * conj).real
         self.z, self.u = nodes[:-1], nodes[-1]
-        self.p, self.pj = self.z[0], self.z[1:]
+        self.zc, self.uc = conj[:-1], conj[-1]
+        self.p = self.z[0]
         self.zz, self.uu = squares[:-1], squares[-1]
         # Scale a = 1 - eps |z|^2 / 4 of every row of z (1 on the plane),
         # conformal factor 1/a^2 at p, and the squared pair separations
         # |p - pj|^2 / (a0 aj): chordal on the disk, Euclidean on the plane.
-        self.a = 1.0 - 0.25 * self.eps * self.zz
-        self.lam = 1.0 / (self.a[0] * self.a[0])
-        self.dp = self.p - self.pj
-        self.seps_sq = (self.dp * self.dp.conj()).real / (self.a[0] * self.a[1:])
-        # Trapezoid weight of every integral.
-        self.w = 0.5 * config.n * (2.0 * sp.pi / sp.M)
+        self.a = a = 1.0 - 0.25 * eps * self.zz
+        scale = a[0] * a  # a0^2, then a0 aj
+        self.lam = 1.0 / scale[0]
+        self.dp = self.p - self.z[1:]
+        self.seps_sq = (self.dp * self.dp.conj()).real / scale[1:]
+        self._kernel = self._first = self._precise = None
 
-    @functools.cached_property
-    def kernel(self) -> _PairKernel:
-        """The pair kernel at seps_sq; only defined once no pair has collided."""
-        return _PairKernel(self.seps_sq, self.eps)
+    def kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G, 1/sqrt(G), F) of _pair_kernel at seps_sq; only defined once
+        no pair has collided."""
+        if self._kernel is None:
+            self._kernel = _pair_kernel(self.seps_sq, self.eps)
+        return self._kernel
 
-    # kappa = d log(1/a) / dz = eps conj(z) / (4a), one row per row of z, and
-    # per pair the log-derivatives a0 = d log P / dp = 1/(p - pj) + kappa_0
-    # and a1 = d log P / dpj = kappa_j - 1/(p - pj) of P = seps_sq.
-    kappa = functools.cached_property(lambda self: self.z.conj() * (0.25 * self.eps / self.a))
-    _inv_dp = functools.cached_property(lambda self: 1.0 / self.dp)
-    a0 = functools.cached_property(lambda self: self._inv_dp + self.kappa[0])
-    a1 = functools.cached_property(lambda self: self.kappa[1:] - self._inv_dp)
+    def first_order_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(F', kappa, a0, a1): the kernel's slope at seps_sq; kappa =
+        d log(1/a) / dz = eps conj(z) / (4a), one row per row of z; and per
+        pair the log-derivatives a0 = d log P / dp = 1/(p - pj) + kappa_0
+        and a1 = d log P / dpj = kappa_j - 1/(p - pj) of P = seps_sq."""
+        if self._first is None:
+            G, inv_root, _ = self.kernel()
+            kappa = self.zc * (0.25 * self.eps / self.a)
+            inv_dp = 1.0 / self.dp
+            self._first = (_pair_slope(G, inv_root), kappa, inv_dp + kappa[0], kappa[1:] - inv_dp)
+        return self._first
 
-    @functools.cached_property
     def precise_gradient(self) -> np.ndarray:
         """The action's gradient at these coefficients from long-double node
-        values on the quadrature grid, read-only; computed on first use.
-        Only defined once the point is feasible."""
-        gradient = _first_order(_NodeState(self.coefficients, self.config, precise=True))
-        gradient.flags.writeable = False
-        return gradient
+        values on the quadrature grid, read-only.  Only defined once the
+        point is feasible."""
+        if self._precise is None:
+            gradient = _first_order(_NodeState(self.coefficients, self.config, precise=True))
+            gradient.flags.writeable = False
+            self._precise = gradient
+        return self._precise
 
     def check(self) -> None:
         """Raise OutOfDiskError when eps |p|^2 / 4 >= (1 - BOUNDARY_MARGIN)^2
@@ -377,7 +430,8 @@ class _NodeState:
         COLLISION_THRESHOLD^2 (node by node, so a NaN cannot mask it)."""
         if self.zz[0].max() * (0.25 * self.eps) >= (1.0 - geometry.BOUNDARY_MARGIN) ** 2:
             raise geometry.OutOfDiskError("trajectory leaves the disk")
-        if (self.seps_sq <= COLLISION_THRESHOLD ** 2).any():
+        # fmin skips NaNs: the least separation among the nodes that have one.
+        if np.fmin.reduce(self.seps_sq, axis=None) <= COLLISION_THRESHOLD ** 2:
             raise CollisionError("pair separation at the collision threshold")
 
     def value(self) -> float | None:
@@ -386,7 +440,7 @@ class _NodeState:
             self.check()
         except (geometry.OutOfDiskError, CollisionError):
             return None
-        return self.w * (float(self.lam @ self.uu) + float(self.kernel.F.sum()))
+        return self.w * (float(self.lam @ self.uu) + float(np.add.reduce(self.kernel()[2], axis=None)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -412,25 +466,26 @@ def _first_order(state: _NodeState) -> np.ndarray:
     the rows pull it back.
     """
     sp, n = state.sp, state.config.n
+    dF, kappa, a0, a1 = state.first_order_terms()
     w = 2.0 * state.config.sigma * state.w
-    wFpP = w * state.kernel.dF * state.seps_sq
+    wFpP = w * dF * state.seps_sq
 
     # Wirtinger derivatives of the kinetic integrand, with d lam / dp =
     # 2 lam kappa, and of the pairs, whose P depends on p and p_j.
     wlam = w * state.lam
-    rows = np.empty((n + 1, sp.M), dtype=state.kappa.dtype)
-    np.multiply(2.0 * wlam * state.uu, state.kappa[0], out=rows[0])
-    rows[0] += (wFpP * state.a0).sum(axis=0)
-    np.multiply(wFpP, state.a1, out=rows[1:-1])
-    np.multiply(wlam, state.u.conj(), out=rows[-1])
+    rows = np.empty((n + 1, sp.M), dtype=kappa.dtype)
+    np.multiply(2.0 * wlam * state.uu, kappa[0], out=rows[0])
+    rows[0] += np.add.reduce(wFpP * a0, axis=0)
+    np.multiply(wFpP, a1, out=rows[1:-1])
+    np.multiply(wlam, state.uc, out=rows[-1])
 
-    v = (sp.adjoint(rows) * state.multipliers).sum(axis=0)
+    v = np.add.reduce(sp.adjoint(rows) * state.multipliers, axis=0)
     return np.concatenate([v.real, -v.imag]).astype(float, copy=False)
 
 
 def _second_order(state: _NodeState) -> tuple[tuple, tuple]:
     """Node values of the second Wirtinger derivatives, unweighted, from the
-    first-order terms of the node state (kappa, a0, a1).
+    first-order terms of the node state (F', kappa, a0, a1).
 
     Kinetic: (lam, f1, f2, f3, f4), the sources of the blocks
     dw toep(lam) dwc, hank(f1), 2 hank(f2) dw, toep(f3) and 2 toep(f4) dwc.
@@ -438,8 +493,9 @@ def _second_order(state: _NodeState) -> tuple[tuple, tuple]:
     (A) and d^2 F / dz_a dzbar_b (B) with z_0 = p and z_1 = p_j.
     """
     h = 0.25 * state.eps / (state.a * state.a)  # d kappa / dzbar, by row of z
-    kappa, a0, a1 = state.kappa, state.a0, state.a1
-    P, Fp, Fpp = state.seps_sq, state.kernel.dF, state.kernel.d2F
+    Fp, kappa, a0, a1 = state.first_order_terms()
+    G, _, F = state.kernel()
+    P, Fpp = state.seps_sq, _pair_curvature(G, F)
     lam, uu, dp = state.lam, state.uu, state.dp
     Pa, Pb = P * a0, P * a1
 
@@ -478,23 +534,21 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     """
     x = np.asarray(x, dtype=float)
     state, value = _state_and_value(x.tobytes(), config)
-    nc = config.n_coefficients
-    sigma = config.sigma
-
     if value is None:
-        grad = np.full(2 * nc, np.nan) if order >= 1 else None
-        hess = np.full((2 * nc, 2 * nc), np.nan) if order >= 2 else None
+        nv = config.n_vars
+        grad = np.full(nv, np.nan) if order >= 1 else None
+        hess = np.full((nv, nv), np.nan) if order >= 2 else None
         return ActionEvaluation(math.inf, grad, hess)
-
     if order < 1:
         return ActionEvaluation(value)
     if precise and order < 2:
-        return ActionEvaluation(value, state.precise_gradient)
+        return ActionEvaluation(value, state.precise_gradient())
     gradient = _first_order(state)
     if order < 2:
         return ActionEvaluation(value, gradient)
     if precise:
-        gradient = state.precise_gradient
+        gradient = state.precise_gradient()
+    nc, sigma = config.n_coefficients, config.sigma
 
     # Holomorphic-holomorphic block T and Hermitian block Wm; the real
     # Hessian of sum f(y, ybar) with y = E c is assembled from

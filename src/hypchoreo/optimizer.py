@@ -94,6 +94,9 @@ _EIGENVALUE_FLOOR = 1e-10
 # factor (_cholesky_solve).
 _SOLVE_BLOCK = 64
 
+# Machine epsilon of float64, for the rounding resolutions of both phases.
+_FLOAT_EPS = np.finfo(float).eps
+
 
 class InfeasibleSeedError(ValueError):
     """Starting path is infeasible (collision or outside the disk)."""
@@ -260,7 +263,7 @@ def minimize_bfgs(fun, grad, x0) -> PhaseResult:
         step = 1.0
         accepted = False
         g_new = None
-        resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(f))
+        resolution = 8.0 * _FLOAT_EPS * max(1.0, abs(f))
         for _ in range(_MAX_BACKTRACKS):
             x_new = x + step * p
             f_new = float(fun(x_new))
@@ -292,7 +295,7 @@ def minimize_bfgs(fun, grad, x0) -> PhaseResult:
             )
 
         s = x_new - x
-        if not np.any(s):
+        if not s.any():
             message = "stopped: the accepted step is too small to move x"
             break
         if g_new is None:
@@ -302,7 +305,8 @@ def minimize_bfgs(fun, grad, x0) -> PhaseResult:
         if first_update and sy > 0.0:
             Hinv = (sy / float(y @ y)) * identity
             first_update = False
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        # The 2-norms as sqrt(v.v), which is how np.linalg.norm forms them.
+        if sy > 1e-10 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
             _bfgs_update(Hinv, s, y, sy, work)
         x, f, g = x_new, f_new, g_new
         values.append(f)
@@ -450,7 +454,7 @@ def phase2_newton(x0, config: Configuration) -> PhaseResult:
             break
 
         H = evaluate(x, config, order=2).hessian
-        floor = np.finfo(float).eps * float(np.linalg.norm(np.abs(H) @ np.abs(x))) / float(np.linalg.norm(x))
+        floor = _FLOAT_EPS * float(np.linalg.norm(np.abs(H) @ np.abs(x))) / float(np.linalg.norm(x))
         if grel <= floor:
             return result(x, f, grel, iteration, True, f"converged at the rounding floor {floor:.2e}")
         step, index = _newton_step(H, g)
@@ -462,7 +466,7 @@ def phase2_newton(x0, config: Configuration) -> PhaseResult:
         # the gradient without a measurable change of the value.
         x_new = x + step
         f_new = float(action_value(x_new, config))
-        f_tol = 64.0 * np.finfo(float).eps * max(1.0, abs(f))
+        f_tol = 64.0 * _FLOAT_EPS * max(1.0, abs(f))
         for _ in range(60):
             if math.isfinite(f_new) and f_new <= f + f_tol:
                 break

@@ -176,13 +176,17 @@ def load_solution(file_path) -> Choreography:
 def _read_solution(source, shown) -> Choreography:
     """Parse the file or package resource source, naming it shown in any MalformedSolutionError."""
     try:
-        text = source.read_text()
+        text = source.read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedSolutionError(f"cannot read {shown}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedSolutionError(f"{shown} is not UTF-8 text: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedSolutionError(f"invalid JSON in {shown}: {exc}") from None
+    except RecursionError:
+        raise MalformedSolutionError(f"invalid JSON in {shown}: nested too deeply to parse") from None
     return solution_from_dict(data)
 
 

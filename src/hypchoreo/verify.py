@@ -92,11 +92,12 @@ def path_residual(path: TrigPath, config: Configuration) -> float:
     pc = config.sigma * path.coeffs
     state = _NodeState(pc, config, M=2 * path.K + 1)
     state.check()
-    sp, p, v, a, kappa = state.sp, state.p, state.u, state.a[0], state.kappa[0]
+    dF, kappa, a0, _ = state.first_order_terms()
+    sp, p, v, a = state.sp, state.p, state.u, state.a[0]
     acc = sp.values(-(sp.k * sp.k) * pc)
 
-    pair = np.sum(state.kernel.dF * state.seps_sq * np.conj(state.a0), axis=0)
-    rhs = -2j * w * (v - 1j * w * p) + w * w * p - 2.0 * kappa * v * v + 2.0 * a ** 2 * pair
+    pair = np.sum(dF * state.seps_sq * np.conj(a0), axis=0)
+    rhs = -2j * w * (v - 1j * w * p) + w * w * p - 2.0 * kappa[0] * v * v + 2.0 * a ** 2 * pair
 
     scale = float(np.linalg.norm(acc))
     if scale == 0.0:
@@ -115,7 +116,9 @@ def coefficient_decay(path: TrigPath) -> float:
 
 
 def _rel_gradient_norm(g: np.ndarray, x: np.ndarray) -> float:
-    return float(np.linalg.norm(g)) / max(float(np.linalg.norm(x)), 1e-300)
+    # sqrt(v.v) is how np.linalg.norm forms a vector's 2-norm, at a third
+    # of its call cost.
+    return math.sqrt(g.dot(g)) / max(math.sqrt(x.dot(x)), 1e-300)
 
 
 def gradient_rel_norm(path: TrigPath, config: Configuration) -> float:

@@ -1,13 +1,17 @@
 """Discrete action: closed-form oracles, derivatives, symmetries, limits."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hypchoreo import optimizer
 from hypchoreo.action import (
     COLLISION_THRESHOLD,
+    ActionEvaluation,
     CollisionError,
     Configuration,
     action_value,
@@ -17,12 +21,14 @@ from hypchoreo.action import (
     quadrature_size,
     _coefficients,
     _NodeState,
-    _PairKernel,
+    _pair_curvature,
+    _pair_kernel,
+    _pair_slope,
     _second_order,
     _transform,
 )
 from hypchoreo.geometry import BOUNDARY_MARGIN, OutOfDiskError
-from hypchoreo.optimizer import random_seed
+from hypchoreo.optimizer import phase1_bfgs, random_seed
 from hypchoreo.solutions import bundled_names, load_bundled
 from hypchoreo.trigpath import TrigPath, nodes, pack_vars, unpack_vars
 from circles import circle_action, circle_path
@@ -79,6 +85,66 @@ def pair_by_pair_hessian(x, config):
     Hbb = 2.0 * (Wm.real - T.real)
     Hab = 2.0 * (Wm.imag - T.imag)
     return config.sigma ** 2 * np.block([[Haa, Hab], [Hab.T, Hbb]])
+
+
+def reference_value_and_gradient(x, config, precise=False):
+    """The action and its gradient transcribed term by term in plain numpy:
+    the multiplier table built in place, a fancy-index scatter into the
+    spectrum and a take out of it, and every term formed where it is used.
+    evaluate's value and fast gradient (precise=False) and its precise
+    gradient (precise=True, long double) must equal it bit for bit.
+    Returns (value, gradient), both None at an infeasible point; only the
+    float64 value is evaluate's."""
+    real = np.longdouble if precise else np.float64
+    pi = np.longdouble("3.14159265358979323846264338327950288") if precise else np.pi
+    n, K, M = config.n, config.K, quadrature_size(config.K)
+    half = x.size // 2
+    p = config.sigma * (x[:half] + 1j * x[half:])
+    k = np.arange(-K, K + 1)
+    kmod = k % M
+    roots = np.exp(2j * pi * np.arange(n, dtype=real) / n)
+    multipliers = np.vstack((roots[np.arange(n)[:, None] * k % n], 1j * (k.astype(real) + config.omega)))
+    spectrum = np.zeros((n + 1, M), dtype=np.result_type(real, 1j))
+    spectrum[:, kmod] = multipliers * p
+    nodes = np.fft.ifft(spectrum, axis=-1, norm="forward")
+    squares = (nodes * nodes.conj()).real
+    z, u, zz, uu = nodes[:-1], nodes[-1], squares[:-1], squares[-1]
+    eps = (1 / real(config.R)) ** 2
+    a = 1.0 - 0.25 * eps * zz
+    lam = 1.0 / (a[0] * a[0])
+    dp = z[0] - z[1:]
+    P = (dp * dp.conj()).real / (a[0] * a[1:])
+    if zz[0].max() * (0.25 * eps) >= (1.0 - BOUNDARY_MARGIN) ** 2 or (P <= COLLISION_THRESHOLD ** 2).any():
+        return None, None
+    w = 0.5 * n * (2.0 * pi / M)
+    b = 1.0 + 0.5 * eps * P
+    G = P * (1.0 + 0.25 * eps * P)
+    inv_root = 1.0 / np.sqrt(G)
+    value = w * (float(lam @ uu) + float((b * inv_root).sum()))
+
+    dF = -0.5 * inv_root / G
+    kappa = z.conj() * (0.25 * eps / a)
+    a0 = 1.0 / dp + kappa[0]
+    a1 = kappa[1:] - 1.0 / dp
+    wg = 2.0 * config.sigma * w
+    wFpP = wg * dF * P
+    wlam = wg * lam
+    rows = np.empty((n + 1, M), dtype=kappa.dtype)
+    np.multiply(2.0 * wlam * uu, kappa[0], out=rows[0])
+    rows[0] += (wFpP * a0).sum(axis=0)
+    np.multiply(wFpP, a1, out=rows[1:-1])
+    np.multiply(wlam, u.conj(), out=rows[-1])
+    v = (np.fft.ifft(rows, axis=-1, norm="forward").take(kmod, axis=-1) * multipliers).sum(axis=0)
+    return value, np.concatenate([v.real, -v.imag]).astype(float, copy=False)
+
+
+def reference_evaluate(x, config, order=2, precise=False):
+    """evaluate for orders 0 and 1 on reference_value_and_gradient."""
+    x = np.asarray(x, dtype=float)
+    value, gradient = reference_value_and_gradient(x, config, precise)
+    if value is None:
+        return ActionEvaluation(math.inf, np.full(x.size, np.nan) if order >= 1 else None)
+    return ActionEvaluation(value, gradient if order >= 1 else None)
 
 
 class TestQuadratureSize:
@@ -232,8 +298,8 @@ class TestPointwiseKernels:
         b = 1.0 + 0.5 * eps * P
         G = P * (1.0 + 0.25 * eps * P)
         want = (b * G ** real(-0.5), real(-0.5) * G ** real(-1.5), real(0.75) * b * G ** real(-2.5))
-        kernel = _PairKernel(P, eps)
-        for got, ref in zip((kernel.F, kernel.dF, kernel.d2F), want):
+        G, inv_root, F = _pair_kernel(P, eps)
+        for got, ref in zip((F, _pair_slope(G, inv_root), _pair_curvature(G, F)), want):
             assert got.dtype == real
             assert np.all(np.abs(got - ref) <= 8 * np.finfo(real).eps * np.abs(ref))
 
@@ -380,6 +446,80 @@ class TestStackedEvaluation:
         assert not np.array_equal(got, before)
         assert np.array_equal(got, self._fresh(x, other, 1, precise=True).gradient)
 
+
+
+class TestReferenceTranscription:
+    """evaluate and Phase 1 against reference_value_and_gradient, bit for bit."""
+
+    @pytest.mark.parametrize("config", FD_CONFIGS)
+    def test_value_and_gradients_match_reference(self, config):
+        rng = np.random.default_rng(58)
+        for _ in range(3):
+            x = feasible_point(config, rng)
+            value, gradient = reference_value_and_gradient(x, config)
+            _, precise = reference_value_and_gradient(x, config, precise=True)
+            assert evaluate(x, config, order=0).value == value
+            assert np.array_equal(evaluate(x, config, order=1).gradient, gradient)
+            assert np.array_equal(evaluate(x, config, order=1, precise=True).gradient, precise)
+
+    @pytest.mark.parametrize("name", ["figure_eight_seed", "five_body_c_seed", "relative_a_seed"])
+    def test_phase1_same_with_reference_evaluation(self, name, monkeypatch):
+        seed = load_bundled(name)
+        x0 = pack_vars(seed.path)
+        got = phase1_bfgs(x0, seed.config)
+        monkeypatch.setattr(optimizer, "evaluate", reference_evaluate)
+        want = phase1_bfgs(x0, seed.config)
+        assert got.iterations == want.iterations
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.values == want.values
+        assert got.gradient_norms == want.gradient_norms
+        assert got.message == want.message
+
+
+class TestThreads:
+    def test_concurrent_evaluations_match_serial(self):
+        # Four threads, two per configuration (n = 3 and n = 5 at the same K),
+        # interleave values, fast and precise gradients over the same points,
+        # so they replace and share each other's kept state; each must get
+        # the bits of a serial run.
+        configs = [Configuration(n=3, R=1.5, K=10), Configuration(n=5, R=1.2, K=10)]
+        rng = np.random.default_rng(59)
+        points = [[feasible_point(config, rng) for _ in range(8)] for config in configs]
+
+        def run(config, xs):
+            return [
+                (
+                    evaluate(x, config, order=0).value,
+                    evaluate(x, config, order=1).gradient.copy(),
+                    evaluate(x, config, order=1, precise=True).gradient.copy(),
+                )
+                for x in xs
+            ]
+
+        serial = [run(config, xs) for config, xs in zip(configs, points)]
+        results = {}
+
+        def worker(slot):
+            results[slot] = [run(configs[slot % 2], points[slot % 2]) for _ in range(5)]
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot in range(4):
+            assert len(results[slot]) == 5
+            for got in results[slot]:
+                for (value, gradient, precise), (value0, gradient0, precise0) in zip(got, serial[slot % 2]):
+                    assert value == value0
+                    assert np.array_equal(gradient, gradient0)
+                    assert np.array_equal(precise, precise0)
 
 
 class TestSymmetries:

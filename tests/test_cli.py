@@ -313,6 +313,18 @@ class TestVerify:
         code = main(["verify", str(tmp_path / "absent.json")])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 200000], ids=["not_utf8", "nested_too_deeply"]
+    )
+    def test_unreadable_file_exit_4(self, tmp_path, capsys, content):
+        bad = tmp_path / "unreadable.json"
+        bad.write_bytes(content)
+        code = main(["verify", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "file error" in err and "unreadable.json" in err
+        assert "Traceback" not in err
+
     def test_unknown_bundled_name_exit_4(self, capsys):
         code = main(["verify", "bundled:no_such_orbit"])
         assert code == 4

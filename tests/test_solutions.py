@@ -172,6 +172,15 @@ class TestMalformed:
         with pytest.raises(MalformedSolutionError):
             load_solution(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe{}", b"[" * 200000], ids=["not_utf8", "nested_too_deeply"]
+    )
+    def test_unreadable_text_file(self, tmp_path, content):
+        bad = tmp_path / "unreadable.json"
+        bad.write_bytes(content)
+        with pytest.raises(MalformedSolutionError, match="unreadable.json"):
+            load_solution(bad)
+
     def test_omega_defaults_to_zero(self):
         doc = valid_document()
         del doc["config"]["omega"]
