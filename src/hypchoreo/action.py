@@ -382,7 +382,11 @@ class _NodeState:
         self.z, self.u = nodes[:-1], nodes[-1]
         self.zc, self.uc = conj[:-1], conj[-1]
         self.p = self.z[0]
-        self.zz, self.uu = squares[:-1], squares[-1]
+        # zz, and below the separations' numerators, are copied out of
+        # their strided .real views, on which numpy's elementwise ops run
+        # at half speed.  uu stays a view: the summation order of the dot
+        # lam @ uu, and so its bits, follow its stride.
+        self.zz, self.uu = squares[:-1].copy(), squares[-1]
         # Scale a = 1 - eps |z|^2 / 4 of every row of z (1 on the plane),
         # conformal factor 1/a^2 at p, and the squared pair separations
         # |p - pj|^2 / (a0 aj): chordal on the disk, Euclidean on the plane.
@@ -390,7 +394,7 @@ class _NodeState:
         scale = a[0] * a  # a0^2, then a0 aj
         self.lam = 1.0 / scale[0]
         self.dp = self.p - self.z[1:]
-        self.seps_sq = (self.dp * self.dp.conj()).real / scale[1:]
+        self.seps_sq = (self.dp * self.dp.conj()).real.copy() / scale[1:]
         self._kernel = self._first = self._precise = None
 
     def kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

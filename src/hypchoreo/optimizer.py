@@ -8,8 +8,8 @@ the value fell by at most 1e-8 relative.  Phase 2 pads the coefficient
 vector (typically doubling the bandwidth) and runs Newton's method with
 the exact Hessian, which converges quadratically to near machine
 precision in a handful of steps: at most _NEWTON_MAX_STEPS (10), to
-_NEWTON_TOLERANCE (1e-13).  These stopping rules are module constants,
-read at call time.
+_NEWTON_TOLERANCE (1e-13).  These stopping rules, and the reuse ratio
+below, are module constants, read at call time.
 
 Because the action is invariant under rotations of the disk and time
 shifts of the path (and under boosts for some configurations), its
@@ -25,6 +25,14 @@ eigendecomposition H = V diag(lam) V^T and divide by max(|lam|, 1e-10 +
 1e-12 max|lam|), which turns negative curvature into descent; Phase 2's
 message counts those steps and their index, the number of eigenvalues
 below minus the floor.
+
+In the endgame a step may skip the Hessian: while the last step cut the
+relative gradient by at least _NEWTON_REUSE_RATIO (1e-3), the next one
+solves on the last Hessian's factor (a simplified-Newton step, the
+Jacobian-reuse rule of Hairer and Wanner, Solving ODEs II, section IV.8).
+Otherwise the factor is freed before the next Hessian is assembled, so
+a kept factor and a new Hessian are never alive at once.  A reused step
+counts as a Newton step and repeats its factor's index.
 
 Newton stops when the relative gradient norm reaches the tolerance or
 the rounding floor that float64 coefficients put under it, estimated
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,6 +80,11 @@ _BFGS_MAX_ITERATIONS = 500
 _BFGS_TOLERANCE = 1e-7
 _NEWTON_MAX_STEPS = 10
 _NEWTON_TOLERANCE = 1e-13
+
+# Simplified-Newton reuse of Phase 2: the next step solves on the last
+# Hessian's factor, with no new Hessian, while the last step cut the
+# relative gradient by at least this ratio (0 forms every step afresh).
+_NEWTON_REUSE_RATIO = 1e-3
 
 # Armijo backtracking of Phase 1: sufficient-decrease constant, step
 # reduction per trial, and trials per line search.
@@ -146,9 +160,9 @@ class PhaseResult:
     divergence or an infeasible step (Phase 2), with the best iterate
     returned either way.  Both phases name their verdict in message, and
     seconds is the run's wall time, which the phase record reports.
-    curvature_indices holds the index of every Newton step Phase 2 formed:
-    the number of Hessian eigenvalues below minus the floor, 0 for a
-    Cholesky step.
+    curvature_indices holds the index of every Newton step Phase 2 took:
+    the number of eigenvalues below minus the floor of the Hessian whose
+    factor it solved on, 0 for a Cholesky factor.
     """
 
     x: np.ndarray
@@ -370,17 +384,19 @@ def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _newton_step(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, int]:
-    """Newton step -H^-1 g under the gauge floor, and its index.
+def _newton_step(H: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Factor of H under the gauge floor: the solve g -> -H^-1 g, and its index.
 
-    Solves (H + tau I) s = -g with tau = _EIGENVALUE_FLOOR + 1e-12 ||H||_1
-    (||H||_1 >= max|lam|, so tau is never below the eigh floor) when that
-    matrix has a Cholesky factor L, on L itself (_cholesky_solve), so the
-    step factors H once; the index is then 0.  Otherwise H has
-    negative curvature, and the step is the saddle-free eigh step, which
-    divides by max(|lam|, _EIGENVALUE_FLOOR + 1e-12 max|lam|); the index
-    counts the eigenvalues below minus that floor.  H is shifted in place,
-    not copied, and comes back bit for bit.
+    Factors H + tau I with tau = _EIGENVALUE_FLOOR + 1e-12 ||H||_1
+    (||H||_1 >= max|lam|, so tau is never below the eigh floor) by
+    Cholesky when it can, and solves on the factor L itself
+    (_cholesky_solve); the index is then 0.  Otherwise H has negative
+    curvature, and the solve is the saddle-free eigh step, which divides
+    by max(|lam|, _EIGENVALUE_FLOOR + 1e-12 max|lam|); the index counts
+    the eigenvalues below minus that floor.  The solve holds only the
+    factor (L, or the eigenvectors and floored eigenvalues), so each step
+    on it costs O(dim^2) and no assembly or factorization.  H is shifted
+    in place, not copied, and comes back bit for bit.
     """
     diagonal = H.diagonal().copy()
     H.flat[:: H.shape[0] + 1] += _EIGENVALUE_FLOOR + 1e-12 * float(np.linalg.norm(H, 1))
@@ -391,14 +407,14 @@ def _newton_step(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, int]:
     finally:
         np.fill_diagonal(H, diagonal)
     if L is not None:
-        return _cholesky_solve(L, -g), 0
+        return lambda g: _cholesky_solve(L, -g), 0
     lam, vecs = np.linalg.eigh(H)
     lam_floor = _EIGENVALUE_FLOOR + 1e-12 * float(np.max(np.abs(lam)))
     # Saddle-free step: descend along negative-curvature directions by
     # their magnitude, and floor the gauge-symmetry null modes so their
     # noise components produce no step to speak of.
     lam_eff = np.maximum(np.abs(lam), lam_floor)
-    return -vecs @ ((vecs.T @ g) / lam_eff), int(np.count_nonzero(lam < -lam_floor))
+    return lambda g: -vecs @ ((vecs.T @ g) / lam_eff), int(np.count_nonzero(lam < -lam_floor))
 
 
 def phase2_newton(x0, config: Configuration) -> PhaseResult:
@@ -409,15 +425,21 @@ def phase2_newton(x0, config: Configuration) -> PhaseResult:
     of the relative gradient, eps || |H| |x| || / ||x|| with eps the
     machine epsilon.  Each iterate converges when its relative gradient
     reaches _NEWTON_TOLERANCE or, failing that, the floor of the last
-    Hessian; only an iterate that must step assembles a new Hessian, and
-    is judged against its floor too.  Below the floor the gradient is
-    rounding noise, so only growth above the floor counts toward
-    divergence.  A relative gradient that grows above the floor on two
-    consecutive steps stops the run as failed, as does a step that finds
-    no feasible decrease; both return the best iterate seen.  The run
-    stops after _NEWTON_MAX_STEPS steps.  The message of the result names
-    the verdict, and the steps that met negative curvature when there
-    were any; iterations counts the Newton steps taken.
+    assembled Hessian; only an iterate that must step assembles a new
+    Hessian, and is judged against its floor too.  An iterate whose step
+    cut the relative gradient by at least _NEWTON_REUSE_RATIO assembles
+    none: its step solves on the last Hessian's factor (_newton_step),
+    and its floor stays that Hessian's.  Otherwise the kept factor is
+    freed before the next Hessian is assembled.  Below the floor the
+    gradient is rounding noise, so only growth above the floor counts
+    toward divergence.  A relative gradient that grows above the floor on
+    two consecutive steps stops the run as failed, as does a step that
+    finds no feasible decrease; both return the best iterate seen.  The
+    run stops after _NEWTON_MAX_STEPS steps.  The message of the result
+    names the verdict, and the steps that met negative curvature when
+    there were any.  iterations counts the Newton steps taken, reused or
+    not, and curvature_indices holds each step's factor's index, so a
+    reused step repeats it.
     """
     t0 = time.perf_counter()
     x = np.array(x0, dtype=float)
@@ -432,6 +454,7 @@ def phase2_newton(x0, config: Configuration) -> PhaseResult:
     floor = 0.0  # until the first Hessian
     growth_streak = 0
     indices: list[int] = []
+    solve = None  # the last Hessian's factor, while the steps on it contract fast enough
 
     def result(x, f, grel, steps, converged, message, failed=False):
         negative = sum(index > 0 for index in indices)
@@ -453,13 +476,15 @@ def phase2_newton(x0, config: Configuration) -> PhaseResult:
         if iteration == _NEWTON_MAX_STEPS:
             break
 
-        H = evaluate(x, config, order=2).hessian
-        floor = _FLOAT_EPS * float(np.linalg.norm(np.abs(H) @ np.abs(x))) / float(np.linalg.norm(x))
-        if grel <= floor:
-            return result(x, f, grel, iteration, True, f"converged at the rounding floor {floor:.2e}")
-        step, index = _newton_step(H, g)
+        if solve is None:
+            H = evaluate(x, config, order=2).hessian
+            floor = _FLOAT_EPS * float(np.linalg.norm(np.abs(H) @ np.abs(x))) / float(np.linalg.norm(x))
+            if grel <= floor:
+                return result(x, f, grel, iteration, True, f"converged at the rounding floor {floor:.2e}")
+            solve, index = _newton_step(H)
+            del H
+        step = solve(g)
         indices.append(index)
-        del H  # free it before the next Hessian is assembled
 
         # Halve the step while it leaves the feasible region or increases
         # the value; the tolerance leaves endgame steps alone, which reduce
@@ -481,6 +506,8 @@ def phase2_newton(x0, config: Configuration) -> PhaseResult:
 
         g_new = evaluate(x_new, config, order=1, precise=True).gradient
         grel_new = _rel_gradient_norm(g_new, x_new)
+        if not grel_new <= _NEWTON_REUSE_RATIO * grel:
+            solve = None  # free the factor before the next Hessian is assembled
         x, f, g = x_new, f_new, g_new
         values.append(f)
         gnorms.append(grel_new)

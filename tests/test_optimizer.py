@@ -1,6 +1,8 @@
 """Two-phase solver: generic BFGS oracles, circle equilibria, seed properties."""
 
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from hypchoreo.optimizer import (
     solve,
 )
 from hypchoreo.solutions import load_bundled
-from hypchoreo.trigpath import TrigPath, nodes, pack_vars
-from hypchoreo.verify import SolveReport
+from hypchoreo.trigpath import TrigPath, nodes, pack_vars, unpack_vars
+from hypchoreo.verify import SolveReport, verify_all
 from circles import circle_action
 from test_cli import diverging, infeasible_start, stalling
 
@@ -645,7 +647,8 @@ class TestNewtonStep:
             raise AssertionError("the Newton step fell back to eigh")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        step, index = _newton_step(H, g)
+        solve, index = _newton_step(H)
+        step = solve(g)
         assert index == 0
         assert np.linalg.norm(stiff.T @ step - expected) <= 1e-10 * np.linalg.norm(expected)
         assert np.max(np.abs(vecs[:, null].T @ step)) <= 1e-3 * np.linalg.norm(step)
@@ -658,8 +661,8 @@ class TestNewtonStep:
         H = (Q * lam) @ Q.T
         H = 0.5 * (H + H.T)
         g = rng.standard_normal(12)
-        step, index = _newton_step(H, g)
-        assert np.array_equal(step, saddle_free_step(H, g))
+        solve, index = _newton_step(H)
+        assert np.array_equal(solve(g), saddle_free_step(H, g))
         # -1e-14 lies inside the floor: a null mode, not negative curvature.
         assert index == 2
 
@@ -683,7 +686,8 @@ class TestNewtonStep:
 
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
-        step, index = _newton_step(H, g)
+        newton_solve, index = _newton_step(H)
+        step = newton_solve(g)
         assert index == 0 and factored == [H.shape]
         assert solved and all(shape[0] < H.shape[0] for shape in solved)
         # Backward stable: the residual is rounding of the scale of H and the step.
@@ -708,7 +712,7 @@ class TestNewtonStep:
         H = (Q * np.linspace(lowest, 7.0, 9)) @ Q.T
         H = 0.5 * (H + H.T)
         saved = H.copy()
-        _, index = _newton_step(H, rng.standard_normal(9))
+        _, index = _newton_step(H)
         assert (index > 0) == (lowest < 0.0)
         assert np.array_equal(H, saved)
 
@@ -832,9 +836,9 @@ class TestPhase2Newton:
         config, x0 = self._start()
         newton_step = optimizer._newton_step
 
-        def backwards(H, g):
-            step, index = newton_step(H, g)
-            return -step, index
+        def backwards(H):
+            solve, index = newton_step(H)
+            return lambda g: -solve(g), index
 
         monkeypatch.setattr(optimizer, "_newton_step", backwards)
         out = phase2_newton(x0, config)
@@ -852,10 +856,14 @@ class TestPhase2Newton:
         newton_step = optimizer._newton_step
         steps = []
 
-        def then_backwards(H, g):
-            step, index = newton_step(H, g)
-            steps.append(step)
-            return (step if len(steps) == 1 else -step), index
+        def then_backwards(H):
+            solve, index = newton_step(H)
+
+            def step(g):
+                steps.append(solve(g))
+                return steps[-1] if len(steps) == 1 else -steps[-1]
+
+            return step, index
 
         monkeypatch.setattr(optimizer, "_newton_step", then_backwards)
         monkeypatch.setattr(optimizer, "_NEWTON_MAX_STEPS", 2)
@@ -867,3 +875,73 @@ class TestPhase2Newton:
         assert out.gradient_rel_norm == out.gradient_norms[1]
         assert np.array_equal(out.x, x0 + steps[0])
         assert out.value == out.values[1]
+
+    def test_reused_factor_reaches_the_same_orbit(self, monkeypatch):
+        # five_body_b's endgame contracts the gradient a thousandfold per
+        # step, so its later steps solve on the first Hessian's factor:
+        # fewer Hessians than steps, and the orbit of the run that forms
+        # every step afresh.
+        seed = load_bundled("five_body_b_seed")
+        hessians = []
+
+        def counting(x, config, order, precise=False):
+            if order == 2:
+                hessians.append(x)
+            return evaluate(x, config, order=order, precise=precise)
+
+        monkeypatch.setattr(optimizer, "evaluate", counting)
+        reused = solve(seed.config, seed.path, options2=Phase2Options(K2=77))
+        assert len(hessians) < reused.report.phase2.iterations
+        monkeypatch.setattr(optimizer, "_NEWTON_REUSE_RATIO", 0.0)
+        hessians.clear()
+        formed = solve(seed.config, seed.path, options2=Phase2Options(K2=77))
+        assert len(hessians) == formed.report.phase2.iterations
+        assert abs(reused.action - formed.action) <= 1e-14 * abs(formed.action)
+        assert verify_all(reused).passed and verify_all(formed).passed
+
+    def test_search_trial_6_never_reuses(self, monkeypatch):
+        # Trial 6 of `hypchoreo search --n 5 --R 1.2 --K 27 --rng 0`: its
+        # Newton run at K2 = 54 never contracts the gradient a thousandfold
+        # in one step, so it forms every step, bit for bit as without reuse.
+        config = Configuration(n=5, R=1.2, K=27)
+        start = optimizer.phase1_bfgs(pack_vars(random_seed(config, modes=5, rng_seed=6)), config).x
+        x0, config2 = pack_vars(unpack_vars(start).pad(54)), replace(config, K=54)
+        reused = phase2_newton(x0, config2)
+        monkeypatch.setattr(optimizer, "_NEWTON_REUSE_RATIO", 0.0)
+        formed = phase2_newton(x0, config2)
+        assert reused.x.tobytes() == formed.x.tobytes()
+        assert reused.values == formed.values and reused.gradient_norms == formed.gradient_norms
+        assert reused.curvature_indices == formed.curvature_indices
+        assert reused.message == formed.message
+
+    def test_factor_is_freed_before_the_next_hessian(self, monkeypatch):
+        # Each kept factor (the solve and the arrays it closes over) is
+        # dead by the time the next Hessian is assembled, so the two never
+        # overlap.  five_body_c reuses a factor and then assembles again,
+        # so the check meets a released reused factor.
+        seed = load_bundled("five_body_c_seed")
+        newton_step = optimizer._newton_step
+        factors, uses = [], []
+
+        def watched(H):
+            solve, index = newton_step(H)
+            factors.extend(weakref.ref(obj) for obj in (solve, *(cell.cell_contents for cell in solve.__closure__)))
+            uses.append(0)
+
+            def counted(g):
+                uses[-1] += 1
+                return solve(g)
+
+            return counted, index
+
+        def checking(x, config, order, precise=False):
+            if order == 2:
+                assert all(ref() is None for ref in factors)
+            return evaluate(x, config, order=order, precise=precise)
+
+        monkeypatch.setattr(optimizer, "_newton_step", watched)
+        monkeypatch.setattr(optimizer, "evaluate", checking)
+        choreo = solve(seed.config, seed.path, options2=Phase2Options(K2=122))
+        assert choreo.report.phase2.converged
+        assert sum(uses) == choreo.report.phase2.iterations
+        assert any(count > 1 for count in uses[:-1])
