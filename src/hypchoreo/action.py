@@ -56,6 +56,9 @@ derivatives in those rows, pulled back through the same table; the
 Hankel and Toeplitz sources of the Hessian.  An evaluation thus makes one
 FFT call per stage for any n, and every row keeps the digits it would
 get alone.  The value reads F, the gradient F', the Hessian F''.
+An evaluate request returns the value and only the derivative it names
+(order 2 the Hessian, no gradient), so it runs the node-value stage and
+at most one other; an infeasible point returns +inf and no derivative.
 evaluate keeps the node state and value of the latest point, so a
 gradient or Hessian asked for right after the value at the same point
 skips the first stage.  That state also keeps the point's long-double
@@ -182,10 +185,11 @@ class Configuration:
 
 @dataclass
 class ActionEvaluation:
-    """Value and requested derivatives at one coefficient vector.
+    """Value and the requested derivative at one coefficient vector: the
+    gradient for order 1, the Hessian for order 2, the other None.
 
     For infeasible points (boundary contact or collision) value is +inf
-    and the derivative arrays are NaN-filled.
+    and both derivatives are None.
     """
 
     value: float
@@ -520,16 +524,17 @@ def _second_order(state: _NodeState) -> tuple[tuple, tuple]:
     return kinetic, (A00, A01, A11, B00, B01, B11)
 
 
-def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) -> ActionEvaluation:
-    """Action value and, for order >= 1/2, its exact gradient/Hessian.
+def evaluate(x, config: Configuration, order: int, precise: bool = False) -> ActionEvaluation:
+    """Action value and the one exact derivative that order names.
 
-    order = 0 computes the value alone, 1 adds the gradient, 2 the Hessian.
-    Infeasible points (node outside the disk margin, or a pair separation
-    at the collision threshold) yield value = +inf and NaN derivatives.
-    The value, the Hessian and by default the gradient are computed with
-    double-precision FFTs.  precise = True runs the same gradient formula
-    on long-double FFTs instead (slower, with a rounding floor far below
-    the double-precision gradient's).  Each transform is built once per
+    order = 0 computes the value alone, 1 the value and the gradient, 2
+    the value and the Hessian.  An infeasible point (a node outside the
+    disk margin, or a pair separation at the collision threshold) yields
+    value = +inf and no derivative.  The value, the Hessian and by default
+    the gradient are computed with double-precision FFTs.  precise = True
+    runs the same gradient formula on long-double FFTs instead (slower,
+    with a rounding floor far below the double-precision gradient's); it
+    only applies to order 1.  Each transform is built once per
     (K, precise) and cached, and the node state and value of the latest
     point are kept, keyed by the bytes of x and the configuration, so a
     second call at the same point starts from them.  The precise gradient
@@ -539,19 +544,11 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     x = np.asarray(x, dtype=float)
     state, value = _state_and_value(x.tobytes(), config)
     if value is None:
-        nv = config.n_vars
-        grad = np.full(nv, np.nan) if order >= 1 else None
-        hess = np.full((nv, nv), np.nan) if order >= 2 else None
-        return ActionEvaluation(math.inf, grad, hess)
+        return ActionEvaluation(math.inf)
     if order < 1:
         return ActionEvaluation(value)
-    if precise and order < 2:
-        return ActionEvaluation(value, state.precise_gradient())
-    gradient = _first_order(state)
     if order < 2:
-        return ActionEvaluation(value, gradient)
-    if precise:
-        gradient = state.precise_gradient()
+        return ActionEvaluation(value, state.precise_gradient() if precise else _first_order(state))
     nc, sigma = config.n_coefficients, config.sigma
 
     # Holomorphic-holomorphic block T and Hermitian block Wm; the real
@@ -601,7 +598,7 @@ def evaluate(x, config: Configuration, order: int = 2, precise: bool = False) ->
     np.add(D.real, D.real.T, out=hessian[nc:, nc:])
     np.subtract(D.imag, S.imag.T, out=hessian[:nc, nc:])
     hessian[nc:, :nc] = hessian[:nc, nc:].T
-    return ActionEvaluation(value, gradient, hessian)
+    return ActionEvaluation(value, hessian=hessian)
 
 
 def action_value(x, config: Configuration) -> float:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypchoreo import optimizer
+from hypchoreo import action, optimizer
 from hypchoreo.action import (
     COLLISION_THRESHOLD,
     ActionEvaluation,
@@ -138,12 +138,12 @@ def reference_value_and_gradient(x, config, precise=False):
     return value, np.concatenate([v.real, -v.imag]).astype(float, copy=False)
 
 
-def reference_evaluate(x, config, order=2, precise=False):
+def reference_evaluate(x, config, order, precise=False):
     """evaluate for orders 0 and 1 on reference_value_and_gradient."""
     x = np.asarray(x, dtype=float)
     value, gradient = reference_value_and_gradient(x, config, precise)
     if value is None:
-        return ActionEvaluation(math.inf, np.full(x.size, np.nan) if order >= 1 else None)
+        return ActionEvaluation(math.inf)
     return ActionEvaluation(value, gradient if order >= 1 else None)
 
 
@@ -228,8 +228,21 @@ class TestDerivatives:
         e1 = evaluate(x, config, order=1)
         e2 = evaluate(x, config, order=2)
         assert e0.value == e1.value == e2.value
-        assert np.array_equal(e1.gradient, e2.gradient)
-        assert e0.gradient is None and e1.hessian is None
+        assert e0.gradient is None and e0.hessian is None
+        assert e1.hessian is None and e2.gradient is None
+        assert e1.gradient.shape == (x.size,) and e2.hessian.shape == (x.size, x.size)
+
+    def test_order_is_required(self):
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(44))
+        with pytest.raises(TypeError, match="order"):
+            evaluate(x, config)
+
+    @pytest.mark.parametrize("size", [21, 35])
+    def test_wrong_variable_count_raises(self, size):
+        config = FD_CONFIGS[0]  # K = 8: 34 packed variables
+        with pytest.raises(ValueError, match="expected 34 variables, got " + str(size)):
+            evaluate(np.zeros(size), config, order=0)
 
     @pytest.mark.parametrize("name", bundled_names())
     def test_hessian_matches_pair_by_pair_assembly_bundled(self, name):
@@ -335,23 +348,31 @@ class TestStackedEvaluation:
                 assert np.array_equal(transform(row), got)
 
     def test_one_ifft_per_stage(self, monkeypatch):
-        calls = []
-        ifft = np.fft.ifft
+        calls, gradients = [], []
+        ifft, first_order = np.fft.ifft, action._first_order
 
         def counted(*args, **kwargs):
             calls.append(1)
             return ifft(*args, **kwargs)
 
+        def counted_gradient(state):
+            gradients.append(1)
+            return first_order(state)
+
         config = Configuration(n=5, R=1.2, K=10)
         x = feasible_point(config, np.random.default_rng(50))
         monkeypatch.setattr(np.fft, "ifft", counted)
-        evaluate(x, config, order=0)
+        monkeypatch.setattr(action, "_first_order", counted_gradient)
+        value = evaluate(x, config, order=0).value
         assert len(calls) == 1
-        # The gradient at the same point reuses the node values.
+        # The Hessian at the same point reuses the node values and adds
+        # its one stage, with no gradient.
+        got = evaluate(x, config, order=2)
+        assert len(calls) == 2 and gradients == []
+        assert got.value == value and got.gradient is None
+        # So does the gradient.
         evaluate(x, config, order=1)
-        assert len(calls) == 2
-        evaluate(x, config, order=2)
-        assert len(calls) == 4
+        assert len(calls) == 3 and len(gradients) == 1
 
     def test_precise_gradient_builds_no_hessian_tables(self):
         config = Configuration(n=3, R=1.5, K=13)
@@ -384,8 +405,9 @@ class TestStackedEvaluation:
         want = self._fresh(x, config, 2)
         assert got.value != before
         assert got.value == want.value
-        assert np.array_equal(got.gradient, want.gradient)
         assert np.array_equal(got.hessian, want.hessian)
+        got = evaluate(x, config, order=1).gradient
+        assert np.array_equal(got, self._fresh(x, config, 1).gradient)
 
     @pytest.mark.parametrize("change", [{"R": 1.7}, {"omega": 0.4}], ids=["R", "omega"])
     def test_reused_state_follows_configuration(self, change):
@@ -424,7 +446,9 @@ class TestStackedEvaluation:
         gradient = evaluate(x, config, order=1, precise=True).gradient
         with pytest.raises(ValueError, match="read-only"):
             gradient[0] = 1.0
-        assert not evaluate(x, config, order=2, precise=True).gradient.flags.writeable
+        # A Hessian request at the point leaves the kept array in place.
+        evaluate(x, config, order=2)
+        assert evaluate(x, config, order=1, precise=True).gradient is gradient
 
     def test_precise_gradient_follows_in_place_edit(self):
         config = FD_CONFIGS[0]
@@ -570,9 +594,12 @@ def doubled_path_vars():
     return pack_vars(TrigPath(c))
 
 
-def value_and_derivatives(evaluation, sigma=1.0):
-    """(value, sigma * gradient, sigma^2 * Hessian) of an order-2 evaluation."""
-    return evaluation.value, sigma * evaluation.gradient, sigma * sigma * evaluation.hessian
+def value_and_derivatives(x, config, sigma=1.0):
+    """(value, sigma * gradient, sigma^2 * Hessian) at x, from an order-1
+    and an order-2 evaluation."""
+    first, second = evaluate(x, config, order=1), evaluate(x, config, order=2)
+    assert first.value == second.value
+    return first.value, sigma * first.gradient, sigma * sigma * second.hessian
 
 
 class TestPlanarLimit:
@@ -587,10 +614,10 @@ class TestPlanarLimit:
         # errors about 0.5/R^2, 2/R^2 and 0.4/R^2 on this path).
         config_flat = Configuration(n=3, R=math.inf, K=5)
         x = doubled_path_vars()
-        flat = value_and_derivatives(evaluate(2.0 * x, config_flat), 2.0)[order]
+        flat = value_and_derivatives(2.0 * x, config_flat, 2.0)[order]
         errs = []
         for R in (10.0, 100.0, 1000.0):
-            hyp = value_and_derivatives(evaluate(x, Configuration(n=3, R=R, K=5)))[order]
+            hyp = value_and_derivatives(x, Configuration(n=3, R=R, K=5))[order]
             errs.append(float(np.linalg.norm(hyp - flat) / np.linalg.norm(flat)))
         assert errs[0] <= bound_at_10
         # quadratic decay in 1/R: each decade of R drops the error 100x
@@ -603,8 +630,8 @@ class TestPlanarLimit:
         # be the flat one at 2q, with no power of R overflowing on the way.
         config = Configuration(n=3, R=R, K=5)
         x = doubled_path_vars()
-        got = value_and_derivatives(evaluate(x, config))
-        want = value_and_derivatives(evaluate(2.0 * x, replace(config, R=math.inf)), 2.0)
+        got = value_and_derivatives(x, config)
+        want = value_and_derivatives(2.0 * x, replace(config, R=math.inf), 2.0)
         for name, a, b in zip(("value", "gradient", "hessian"), got, want):
             assert np.all(np.isfinite(a)), name
             assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b), name
@@ -615,10 +642,10 @@ class TestInfeasible:
         config = Configuration(n=3, R=1.5, K=2)
         c = np.zeros(5, dtype=complex)
         c[2] = 1.5001
-        out = evaluate(pack_vars(TrigPath(c)), config, order=2)
-        assert math.isinf(out.value)
-        assert np.all(np.isnan(out.gradient)) and out.gradient.shape == (10,)
-        assert np.all(np.isnan(out.hessian)) and out.hessian.shape == (10, 10)
+        for order, precise in ((0, False), (1, False), (1, True), (2, False)):
+            out = evaluate(pack_vars(TrigPath(c)), config, order=order, precise=precise)
+            assert out.value == math.inf
+            assert out.gradient is None and out.hessian is None
 
     def test_collision_is_infinite(self):
         # A constant path has all bodies coincident for every n.

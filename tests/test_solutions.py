@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hypchoreo import solutions
-from hypchoreo.action import Configuration
+from hypchoreo.action import Configuration, action_value
 from hypchoreo.optimizer import Choreography
 from hypchoreo.solutions import (
     MalformedSolutionError,
@@ -19,7 +19,7 @@ from hypchoreo.solutions import (
     solution_from_dict,
     solution_to_dict,
 )
-from hypchoreo.trigpath import TrigPath
+from hypchoreo.trigpath import TrigPath, pack_vars
 from hypchoreo.verify import PhaseRecord, SolveReport
 
 
@@ -224,6 +224,15 @@ class TestBundled:
         for name in bundled_names():
             choreo = load_bundled(name)
             assert choreo.path.coeffs.size == 2 * choreo.config.K + 1
+
+    @pytest.mark.parametrize("name", [name for name in bundled_names() if name.endswith("_seed")])
+    def test_seed_action_is_computed(self, name):
+        # A seed file carries no diagnostics, so its action is computed
+        # from its coefficients.
+        seed = load_bundled(name)
+        assert seed.report.final is None
+        assert seed.action == action_value(pack_vars(seed.path), seed.config)
+        assert math.isfinite(seed.action)
 
     def test_unknown_name(self):
         with pytest.raises(MalformedSolutionError) as err:
