@@ -49,13 +49,22 @@ and costs O(n M log M + K^2) instead of O(n K^2 M); the DFT adds n^2 M.
 Only the symmetric part of the holomorphic block and the Hermitian part
 of the mixed block count, so each is gathered as a half whose mirror
 completes it, and a term already symmetric at half weight.
-Each stage stacks its rows into one inverse FFT along the last axis: the
-node values of p, its n-1 shifted copies and its velocity, from p times
-a cached multiplier table (1, shift phases, i(k + omega)); the integrand's
-derivatives in those rows, pulled back through the same table; the
-Hankel and Toeplitz sources of the Hessian.  An evaluation thus makes one
-FFT call per stage for any n, and every row keeps the digits it would
-get alone.  The value reads F, the gradient F', the Hessian F''.
+Each stage stacks its rows into one transform call along the last axis:
+the node values of p, its n-1 shifted copies and its velocity, from p
+times a cached multiplier table (1, shift phases, i(k + omega)); the
+integrand's derivatives in those rows, pulled back through the same
+table; the Hankel and Toeplitz sources of the Hessian.  An evaluation
+thus makes one transform call per stage for any n.  The Hessian's stage
+is an inverse FFT.  So are the other two, except in float64 on the
+quadrature grid at small K ((2K+1) M <= _DENSE_SIZE, K <= 44), where
+they are one product with a cached dense basis: there M = 4K+3 is mostly
+prime or nearly so, and its FFT costs more than the arithmetic it
+feeds.  The product is real, on the interleaved (re, im) view of both
+sides, because OpenBLAS threads a complex product of this size, and its
+threads then compete with search's worker processes; the real one stays
+on one thread.  On the FFT every row keeps the digits it would get
+alone; a stacked product and a single row may differ in the last bits.
+The value reads F, the gradient F', the Hessian F''.
 An evaluate request returns the value and only the derivative it names
 (order 2 the Hessian, no gradient), so it runs the node-value stage and
 at most one other; an infeasible point returns +inf and no derivative.
@@ -66,8 +75,8 @@ gradient once computed, read-only, so a second precise gradient at the
 same point (Newton's last one, then the verification of its orbit)
 costs no transform at all.
 
-The gradient formula is written once and runs on the same FFT transform
-in one of two precisions, each built once per (K, precise) and cached:
+The gradient formula is written once and runs on the same transform in
+one of two precisions, each built once per (K, precise) and cached:
 double precision, or long double for the Newton endgame and the final
 verification, whose rounding floor lies far below the double-precision
 gradient's (about 1e-12 relative at converged solutions) wherever long
@@ -78,21 +87,22 @@ also reads its node values and feasibility tests; optimizer.random_seed
 reads the separations of its draws.
 
 What is computed when.  Once per (K, precise, M): the transform, with
-its multiplier table per (n, omega) and the Hessian's tables on a
-Hessian's first use (_transform).  Once per configuration on a
-transform: eps and the trapezoid weight (_constants).  Once per point,
-when the node state is built: the node values and their conjugates,
-squared moduli, scales, conformal factor and pair separations; with the
-value, the kernel's G, 1/sqrt(G) and F.  On demand, then kept with the
-state: the first-order terms (F', kappa, a0, a1) and the precise
-gradient; F'' is formed by each Hessian.  Each kept term is a pure
-function of the state's arrays, stored by one assignment once complete,
-so the state takes no lock: two threads that ask at once compute the
-term twice and keep equal arrays, and none sees it half built.  Every
-other buffer is allocated per call, so evaluate shares nothing mutable
-between calls or threads.  A state is small numpy work on (n+1) x M
-arrays, at a few microseconds per call, so the hot path calls ufuncs
-directly (np.add.reduce for a sum) and forms each term once.
+its dense basis if it has one, its multiplier table per (n, omega) and
+the Hessian's tables on a Hessian's first use (_transform).  Once per
+configuration on a transform: eps and the trapezoid weight (_constants).
+Once per point, when the node state is built: the node values and their
+conjugates, squared moduli, scales, conformal factor and pair
+separations; with the value, the kernel's G, 1/sqrt(G) and F.  On
+demand, then kept with the state: the first-order terms (F', kappa, a0,
+a1) and the precise gradient; F'' is formed by each Hessian.  Each kept
+term is a pure function of the state's arrays, stored by one assignment
+once complete, so the state takes no lock: two threads that ask at once
+compute the term twice and keep equal arrays, and none sees it half
+built.  Every other buffer is allocated per call, so evaluate shares
+nothing mutable between calls or threads.  A state is small numpy work
+on (n+1) x M arrays, at a few microseconds per call, so the hot path
+calls ufuncs directly (np.add.reduce for a sum) and forms each term
+once.
 """
 
 from __future__ import annotations
@@ -123,6 +133,14 @@ COLLISION_THRESHOLD = 1e-13
 
 # pi to extended (80-bit) precision, for the long-double transform.
 _PI_EXTENDED = np.longdouble("3.14159265358979323846264338327950288")
+
+# Largest (2K+1) M at which the float64 quadrature-grid transform takes node
+# values and adjoints as a product with a dense basis (K <= 44).  Timed on
+# 2 CPUs with OpenBLAS 0.3.31, 6 rows: up to K = 44 the product beat the
+# stacked FFT by up to 5 times where M = 4K+3 has a large prime factor;
+# it lost by up to 1.4 times at the smooth M = 171 and 175 (K = 42, 43),
+# 195 (K = 48) and 243 (K = 60), and past the cut dgemm starts to thread.
+_DENSE_SIZE = 1 << 14
 
 
 class CollisionError(ValueError):
@@ -203,18 +221,26 @@ def quadrature_size(K: int) -> int:
 
 
 class _Spectral:
-    """FFT transforms for one (bandwidth, grid) pair in one real dtype:
+    """Transforms for one (bandwidth, grid) pair in one real dtype:
     float64, or long double for the precise gradient (numpy >= 2 runs its
     FFT natively in long double).
 
     values, transform and adjoint act on the last axis, so a stacked
-    (rows, .) array goes through one inverse FFT; each row gets exactly
-    the digits it would get alone.
+    (rows, .) array goes through one call.  On the FFT each row gets
+    exactly the digits it would get alone.
 
     values:    node values of sum_k c_k exp(i k t_m)
     transform: f_r = sum_m d_m exp(+i r t_m), r = 0..M-1, the unscaled
         inverse FFT (norm="forward"), so no 1/M is applied and undone
     adjoint:   (E^T g)_k      = sum_m g_m exp(+i k t_m)
+    basis:     None, or (when built dense: float64 on the quadrature grid
+        under _DENSE_SIZE, see _transform) the read-only real form of
+        E_km = exp(2 pi i ((k m) mod M) / M), shape 2(2K+1) x 2M, whose
+        rows (Re E_k, Im E_k) and (-Im E_k, Re E_k) interleave by column
+        as a complex array's float view does.  values is then the real
+        product c.view(float) @ basis, and adjoint d.view(float) @ basis^T
+        read backwards in k: E^T is conj(E) with k -> -k, so one basis
+        serves both.  transform stays an FFT.
     multipliers: rows exp(2 pi i j k / n), j = 0..n-1, that turn the
         coefficients of q(t) into those of q(t + 2 pi j / n), read off the
         n-th roots of unity at (j k) mod n, and i (k + omega) for the
@@ -232,7 +258,7 @@ class _Spectral:
         r:      the signed index of every slot, in the transform's dtype
     """
 
-    def __init__(self, K: int, M: int, real):
+    def __init__(self, K: int, M: int, real, dense: bool = False):
         self.M = M
         self.real = real
         self.complex = np.result_type(real, 1j)
@@ -242,12 +268,24 @@ class _Spectral:
         # k in the transform's dtype, so that i (k + omega) c keeps its precision.
         self.k = k.astype(real)
         self._kmod = k % M
+        self.basis = None
+        if dense:
+            # Exact twiddles: k m is reduced mod M before the exponential.
+            E = np.exp(2j * np.pi / M * (k[:, None] * np.arange(M) % M))
+            basis = np.empty((2 * k.size, 2 * M))
+            basis[0::2, 0::2] = basis[1::2, 1::2] = E.real
+            basis[0::2, 1::2] = E.imag
+            basis[1::2, 0::2] = -E.imag
+            basis.flags.writeable = False
+            self.basis = basis
         self._multipliers: dict[tuple[int, float], np.ndarray] = {}
         self._folds: dict[int, tuple[np.ndarray, ...]] = {}
 
     # Slots M-K..M-1 of a transform hold k = -K..-1 and slots 0..K hold
     # k = 0..K, so two slices move the coefficients in and out.
     def values(self, c: np.ndarray) -> np.ndarray:
+        if self.basis is not None:
+            return (c.view(np.float64) @ self.basis).view(np.complex128)
         K, M = self.K, self.M
         spectrum = np.zeros(c.shape[:-1] + (M,), dtype=self.complex)
         spectrum[..., M - K:] = c[..., :K]
@@ -258,6 +296,8 @@ class _Spectral:
         return np.fft.ifft(d, axis=-1, norm="forward")
 
     def adjoint(self, d: np.ndarray) -> np.ndarray:
+        if self.basis is not None:
+            return (d.view(np.float64) @ self.basis.T).view(np.complex128)[..., ::-1]
         f = self.transform(d)
         return np.concatenate((f[..., self.M - self.K:], f[..., :self.K + 1]), axis=-1)
 
@@ -303,8 +343,13 @@ class _Spectral:
 @functools.lru_cache(maxsize=32)
 def _transform(K: int, precise: bool, M: int | None = None) -> _Spectral:
     """The transform for bandwidth K on M nodes (default its quadrature
-    grid), built once."""
-    return _Spectral(K, quadrature_size(K) if M is None else M, np.longdouble if precise else np.float64)
+    grid), built once; the float64 one on the quadrature grid holds a dense
+    basis while (2K+1) M is at most _DENSE_SIZE."""
+    real = np.longdouble if precise else np.float64
+    if M is not None:
+        return _Spectral(K, M, real)
+    M = quadrature_size(K)
+    return _Spectral(K, M, real, dense=not precise and (2 * K + 1) * M <= _DENSE_SIZE)
 
 
 def _coefficients(x, config: Configuration) -> np.ndarray:
@@ -528,19 +573,24 @@ def evaluate(x, config: Configuration, order: int, precise: bool = False) -> Act
     """Action value and the one exact derivative that order names.
 
     order = 0 computes the value alone, 1 the value and the gradient, 2
-    the value and the Hessian.  An infeasible point (a node outside the
-    disk margin, or a pair separation at the collision threshold) yields
-    value = +inf and no derivative.  The value, the Hessian and by default
-    the gradient are computed with double-precision FFTs.  precise = True
-    runs the same gradient formula on long-double FFTs instead (slower,
-    with a rounding floor far below the double-precision gradient's); it
-    only applies to order 1.  Each transform is built once per
-    (K, precise) and cached, and the node state and value of the latest
-    point are kept, keyed by the bytes of x and the configuration, so a
-    second call at the same point starts from them.  The precise gradient
+    the value and the Hessian; any other order raises ValueError.  An
+    infeasible point (a node outside the disk margin, or a pair separation
+    at the collision threshold) yields value = +inf and no derivative.
+    The value, the Hessian and by default the gradient are computed on
+    double-precision transforms.  precise = True runs the same gradient
+    formula on long-double FFTs instead (slower, with a rounding floor far
+    below the double-precision gradient's), and raises ValueError with any
+    order but 1.  Each transform is built once per (K, precise) and
+    cached, and the node state and value of the latest point are kept,
+    keyed by the bytes of x and the configuration, so a second call at
+    the same point starts from them.  The precise gradient
     is kept with that state and returned read-only: a second precise call
     at the same point returns the same array without recomputing it.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    if precise and order != 1:
+        raise ValueError(f"precise applies to the gradient (order 1) only, got order {order!r}")
     x = np.asarray(x, dtype=float)
     state, value = _state_and_value(x.tobytes(), config)
     if value is None:

@@ -89,8 +89,10 @@ def pair_by_pair_hessian(x, config):
 
 def reference_value_and_gradient(x, config, precise=False):
     """The action and its gradient transcribed term by term in plain numpy:
-    the multiplier table built in place, a fancy-index scatter into the
-    spectrum and a take out of it, and every term formed where it is used.
+    the multiplier table built in place, node values and adjoints by a
+    real product with an exact-twiddle basis built in place (float64 below
+    the dense cut) or by a fancy-index scatter into the spectrum and a take
+    out of its FFT, and every term formed where it is used.
     evaluate's value and fast gradient (precise=False) and its precise
     gradient (precise=True, long double) must equal it bit for bit.
     Returns (value, gradient), both None at an infeasible point; only the
@@ -104,9 +106,28 @@ def reference_value_and_gradient(x, config, precise=False):
     kmod = k % M
     roots = np.exp(2j * pi * np.arange(n, dtype=real) / n)
     multipliers = np.vstack((roots[np.arange(n)[:, None] * k % n], 1j * (k.astype(real) + config.omega)))
-    spectrum = np.zeros((n + 1, M), dtype=np.result_type(real, 1j))
-    spectrum[:, kmod] = multipliers * p
-    nodes = np.fft.ifft(spectrum, axis=-1, norm="forward")
+    if not precise and k.size * M <= action._DENSE_SIZE:
+        # Below the cut, a real product with the interleaved exact-twiddle
+        # basis: E's rows as (Re, Im) pairs for Re c, then (-Im, Re) for Im c.
+        E = np.exp(2j * np.pi / M * (np.outer(k, np.arange(M)) % M))
+        basis = np.stack((np.stack((E.real, E.imag), axis=-1), np.stack((-E.imag, E.real), axis=-1)), axis=1)
+        basis = basis.reshape(2 * k.size, 2 * M)
+
+        def values(c):
+            return (c.view(float) @ basis).view(complex)
+
+        def adjoint(d):
+            # E^T d = conj(E)^T d read at -k.
+            return np.flip((d.view(float) @ basis.T).view(complex), axis=-1)
+    else:
+        def values(c):
+            spectrum = np.zeros((n + 1, M), dtype=np.result_type(real, 1j))
+            spectrum[:, kmod] = c
+            return np.fft.ifft(spectrum, axis=-1, norm="forward")
+
+        def adjoint(d):
+            return np.fft.ifft(d, axis=-1, norm="forward").take(kmod, axis=-1)
+    nodes = values(multipliers * p)
     squares = (nodes * nodes.conj()).real
     z, u, zz, uu = nodes[:-1], nodes[-1], squares[:-1], squares[-1]
     eps = (1 / real(config.R)) ** 2
@@ -134,7 +155,7 @@ def reference_value_and_gradient(x, config, precise=False):
     rows[0] += (wFpP * a0).sum(axis=0)
     np.multiply(wFpP, a1, out=rows[1:-1])
     np.multiply(wlam, u.conj(), out=rows[-1])
-    v = (np.fft.ifft(rows, axis=-1, norm="forward").take(kmod, axis=-1) * multipliers).sum(axis=0)
+    v = (adjoint(rows) * multipliers).sum(axis=0)
     return value, np.concatenate([v.real, -v.imag]).astype(float, copy=False)
 
 
@@ -238,6 +259,21 @@ class TestDerivatives:
         with pytest.raises(TypeError, match="order"):
             evaluate(x, config)
 
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_order_outside_0_1_2_raises(self, order):
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(44))
+        with pytest.raises(ValueError, match=f"order must be 0, 1 or 2, got {order}"):
+            evaluate(x, config, order=order)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_precise_outside_order_1_raises(self, order):
+        # The value and the Hessian are float64 only; precise is not ignored.
+        config = FD_CONFIGS[0]
+        x = feasible_point(config, np.random.default_rng(44))
+        with pytest.raises(ValueError, match=f"precise applies to the gradient .* got order {order}"):
+            evaluate(x, config, order=order, precise=True)
+
     @pytest.mark.parametrize("size", [21, 35])
     def test_wrong_variable_count_raises(self, size):
         config = FD_CONFIGS[0]  # K = 8: 34 packed variables
@@ -328,10 +364,60 @@ class TestPointwiseKernels:
         assert np.max(np.abs(got - want)) <= 4 * np.finfo(sp.real).eps * np.max(np.abs(want))
 
 
+def _last_dense_bandwidth():
+    """The largest K whose quadrature-grid transform is under the dense cut."""
+    K = 1
+    while (2 * K + 3) * quadrature_size(K + 1) <= action._DENSE_SIZE:
+        K += 1
+    return K
+
+
+class TestDenseBasis:
+    """The float64 transform on the quadrature grid under the dense cut."""
+
+    @pytest.mark.parametrize("K", [1, 27, _last_dense_bandwidth(), _last_dense_bandwidth() + 1])
+    def test_float64_transform_matches_exact_twiddle_dft(self, K):
+        # Dense below the cut, pocketfft above it; both against the same
+        # long-double reference, stacked rows and a single row alike.
+        sp = _transform(K, False)
+        k = np.arange(-K, K + 1)
+        r = (np.arange(sp.M)[:, None] * k[None, :]) % sp.M
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        E = np.exp(1j * (2 * pi * r.astype(np.longdouble) / sp.M))
+        rng = np.random.default_rng(K)
+
+        def random_complex(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        c, d = random_complex((6, k.size)), random_complex((6, sp.M))
+        for got, want in (
+            (sp.values(c), c @ E.T), (sp.adjoint(d), d @ E),
+            (sp.values(c[2]), E @ c[2]), (sp.adjoint(d[2]), E.T @ d[2]),
+        ):
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            error = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            assert error <= 20 * float(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("K", [1, 27, _last_dense_bandwidth(), _last_dense_bandwidth() + 1, 60])
+    def test_basis_only_on_the_float64_quadrature_grid_under_the_cut(self, K):
+        M = quadrature_size(K)
+        sp = _transform(K, False)
+        assert (sp.basis is not None) == ((2 * K + 1) * M <= action._DENSE_SIZE) == (K <= _last_dense_bandwidth())
+        if sp.basis is not None:
+            assert sp.basis.shape == (2 * (2 * K + 1), 2 * M) and not sp.basis.flags.writeable
+        assert _transform(K, True).basis is None
+        for grid in (2 * K + 1, M, 1024):
+            assert _transform(K, False, grid).basis is None
+
+
 class TestStackedEvaluation:
     @pytest.mark.parametrize("precise", [False, True], ids=["float64", "long_double"])
     def test_stacked_transforms_match_rows_bitwise(self, precise):
-        sp = _transform(27, precise)
+        # On pocketfft (an explicit M keeps the float64 transform off the
+        # dense basis, whose stacked product and single rows differ in the
+        # last bits, dgemm against dgemv).
+        sp = _transform(27, precise, quadrature_size(27))
+        assert sp.basis is None
         rng = np.random.default_rng(49)
 
         def random_complex(shape):
@@ -347,32 +433,38 @@ class TestStackedEvaluation:
             for row, got in zip(rows, out):
                 assert np.array_equal(transform(row), got)
 
-    def test_one_ifft_per_stage(self, monkeypatch):
+    def test_one_transform_per_stage(self, monkeypatch):
+        # K = 10 takes node values and adjoints from the dense basis, so
+        # none of the three calls goes through another.
         calls, gradients = [], []
-        ifft, first_order = np.fft.ifft, action._first_order
+        first_order = action._first_order
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return ifft(*args, **kwargs)
+        def counted(method):
+            def call(*args, **kwargs):
+                calls.append(method.__name__)
+                return method(*args, **kwargs)
+            return call
 
         def counted_gradient(state):
             gradients.append(1)
             return first_order(state)
 
         config = Configuration(n=5, R=1.2, K=10)
+        assert _transform(config.K, False).basis is not None
         x = feasible_point(config, np.random.default_rng(50))
-        monkeypatch.setattr(np.fft, "ifft", counted)
+        for name in ("values", "adjoint", "transform"):
+            monkeypatch.setattr(action._Spectral, name, counted(getattr(action._Spectral, name)))
         monkeypatch.setattr(action, "_first_order", counted_gradient)
         value = evaluate(x, config, order=0).value
-        assert len(calls) == 1
+        assert calls == ["values"]
         # The Hessian at the same point reuses the node values and adds
         # its one stage, with no gradient.
         got = evaluate(x, config, order=2)
-        assert len(calls) == 2 and gradients == []
+        assert calls == ["values", "transform"] and gradients == []
         assert got.value == value and got.gradient is None
         # So does the gradient.
         evaluate(x, config, order=1)
-        assert len(calls) == 3 and len(gradients) == 1
+        assert calls == ["values", "transform", "adjoint"] and len(gradients) == 1
 
     def test_precise_gradient_builds_no_hessian_tables(self):
         config = Configuration(n=3, R=1.5, K=13)

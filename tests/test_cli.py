@@ -665,6 +665,21 @@ class TestSearch:
                 if field.name not in ("x", "seconds"):
                     assert getattr(result, field.name) == getattr(local, field.name), field.name
 
+    def test_pooled_phase1_matches_in_process_at_benchmark_size(self):
+        # search's own problem (n = 5, K = 27): the workers take node values
+        # and adjoints from the dense basis with the BLAS threads they
+        # inherit, and still give the in-process bits.  Trial 6 converges
+        # after a long plateau; trial 19 stalls.
+        config = Configuration(n=5, R=1.2, K=27)
+        starts = [pack_vars(random_seed(config, modes=5, rng_seed=seed)) for seed in (6, 19)]
+        pooled = cli._phase1_trials(starts, config)
+        for x0, result in zip(starts, pooled):
+            local = phase1_bfgs(x0, config)
+            assert result.x.tobytes() == local.x.tobytes()
+            for field in fields(PhaseResult):
+                if field.name not in ("x", "seconds"):
+                    assert getattr(result, field.name) == getattr(local, field.name), field.name
+
     def test_trial_exception_reaches_caller(self, tmp_path, monkeypatch):
         # A trial that raises stops the search: its exception leaves main,
         # and the trials not yet started are cancelled, not run.

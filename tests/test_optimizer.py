@@ -28,7 +28,7 @@ from hypchoreo.optimizer import (
     solve,
 )
 from hypchoreo.solutions import load_bundled
-from hypchoreo.trigpath import TrigPath, nodes, pack_vars, unpack_vars
+from hypchoreo.trigpath import TrigPath, _fit_bandwidth, nodes, pack_vars, unpack_vars
 from hypchoreo.verify import SolveReport, verify_all
 from circles import circle_action
 from test_cli import diverging, infeasible_start, stalling
@@ -410,7 +410,7 @@ class TestSearchTrialVerdicts:
 
     def test_phase1_verdicts_and_actions(self):
         config = Configuration(n=5, R=1.2, K=27)
-        stalled = {8: 201, 11: 138, 13: 173, 16: 108, 19: 276}
+        stalled = {8: 201, 11: 138, 13: 173, 16: 108, 19: 277}
         actions = {}
         for trial in range(20):
             result = optimizer.phase1_bfgs(pack_vars(random_seed(config, modes=5, rng_seed=trial)), config)
@@ -425,6 +425,23 @@ class TestSearchTrialVerdicts:
         assert len(groups[80.351827]) == 13
         for action, trials in groups.items():
             assert {trial for trial, value in actions.items() if abs(value - action) <= 1e-6} == trials, action
+
+    def test_trial_6_newton_end_survives_one_ulp(self):
+        # Trial 6's Newton run at K2 = 54 stops short of convergence, yet
+        # its action does not hang on the last bits of its Phase-1 end:
+        # each coordinate moved by one ulp, up or down, ends within 1e-13
+        # (3e-16 measured).
+        config = Configuration(n=5, R=1.2, K=27)
+        config2 = replace(config, K=54)
+        x1 = optimizer.phase1_bfgs(pack_vars(random_seed(config, modes=5, rng_seed=6)), config).x
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], size=x1.size)
+        moved = np.nextafter(x1, signs * np.inf)
+        assert not np.array_equal(moved, x1)
+        base, other = (
+            optimizer.phase2_newton(pack_vars(_fit_bandwidth(unpack_vars(x), config2.K)), config2).value
+            for x in (x1, moved)
+        )
+        assert other == pytest.approx(base, rel=1e-13, abs=0)
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,10 @@ perfbench/ reaches into the package by name, private helpers included
 (`continuation._fit_bandwidth`), and its tracer swaps module attributes;
 a refactor that drops or moves one of those names breaks the benchmark
 without failing any other test.  Its `search` workload also pins the
-actions that `hypchoreo search` writes, one of them rounding-sensitive;
-a change that moves them fails here before it fails the benchmark.
+actions that `hypchoreo search` writes, one of them from a Newton run
+that stops short of convergence (its action still holds to 3e-16 under a
+one-ulp change of its start); a change that moves them fails here before
+it fails the benchmark.
 """
 
 import importlib.util
