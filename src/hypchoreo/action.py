@@ -171,6 +171,9 @@ class Configuration:
     def __post_init__(self):
         _check_integer("n", self.n)
         _check_integer("K", self.K)
+        for name in ("R", "omega"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a real number, not a bool")
         if self.n < 2:
             raise ValueError("need at least two bodies")
         if not self.R > 0.0:

@@ -61,7 +61,7 @@ def solution_to_dict(choreo: Choreography) -> dict:
     config = choreo.config
     report = choreo.report
     diagnostics = None
-    if report is not None and (report.phase1 is not None or report.phase2 is not None):
+    if report.phase1 is not None or report.phase2 is not None:
         diagnostics = {
             "phase1": asdict(report.phase1) if report.phase1 is not None else None,
             "phase2": asdict(report.phase2) if report.phase2 is not None else None,

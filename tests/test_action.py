@@ -814,6 +814,18 @@ class TestConfigurationValidation:
         with pytest.raises(TypeError, match="must be an integer"):
             Configuration(**{"n": 3, "R": 2.0, "K": 3, **fields})
 
+    @pytest.mark.parametrize("field", ["R", "omega"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_reals(self, field, flag):
+        with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+            Configuration(**{"n": 3, "R": 2.0, "K": 3, field: flag})
+
+    def test_accepts_real_numbers(self):
+        assert Configuration(n=3, R=2, K=3).R == 2
+        assert Configuration(n=3, R=np.float64(1.5), K=3).R == 1.5
+        assert Configuration(n=3, R=math.inf, K=3).is_planar
+        assert Configuration(n=3, R=2.0, K=3, omega=np.float64(0.5)).omega == 0.5
+
     def test_accepts_numpy_integers(self):
         assert Configuration(n=np.int64(3), R=2.0, K=np.int32(3)).n_vars == 14
 
